@@ -36,12 +36,12 @@ from fiberae.channel import (
     watts_from_dbm,
 )
 from fiberae.nets import (
-    CROSS_ENTROPY_FLOOR,
     DenseLayer,
     DenseNetwork,
     adam_init,
     adam_step,
     backward,
+    cross_entropy,
     forward,
     network,
 )
@@ -53,13 +53,11 @@ __all__ = [
     "TrainingDivergedError",
     "CheckpointError",
     "build_model",
-    "encode",
     "constellation_points",
     "renormalize",
     "decode",
     "detect",
     "train",
-    "batch_loss",
     "batch_loss_and_grads",
     "model_parameters",
     "set_model_parameters",
@@ -100,16 +98,6 @@ class AutoencoderModel:
         if not self.norm_scale > 0:
             raise ValueError("norm_scale must be positive")
 
-    def clone(self) -> "AutoencoderModel":
-        return AutoencoderModel(
-            tx=self.tx.clone(),
-            rx=self.rx.clone(),
-            norm_scale=self.norm_scale,
-            m=self.m,
-            params=self.params,
-            input_power_w=self.input_power_w,
-        )
-
 
 def build_model(
     m: int,
@@ -146,13 +134,17 @@ def raw_symbols(model: AutoencoderModel) -> np.ndarray:
     return out
 
 
-def renormalize(model: AutoencoderModel) -> float:
-    """Set norm_scale so the M-symbol constellation has mean power input_power_w."""
-    raw = raw_symbols(model)
+def _power_scale(raw: np.ndarray, input_power_w: float):
+    """(mean power of raw (M, 2) symbols, the scale that brings it to input_power_w)."""
     mean_power = float(np.mean(np.sum(raw * raw, axis=1)))
     if mean_power == 0.0:
         raise ValueError("transmitter outputs have zero mean power, cannot normalize")
-    model.norm_scale = float(np.sqrt(model.input_power_w / mean_power))
+    return mean_power, np.sqrt(input_power_w / mean_power)
+
+
+def renormalize(model: AutoencoderModel) -> float:
+    """Set norm_scale so the M-symbol constellation has mean power input_power_w."""
+    model.norm_scale = float(_power_scale(raw_symbols(model), model.input_power_w)[1])
     return model.norm_scale
 
 
@@ -160,16 +152,6 @@ def constellation_points(model: AutoencoderModel) -> np.ndarray:
     """The M normalized complex symbols in message order."""
     raw = raw_symbols(model)
     return model.norm_scale * (raw[:, 0] + 1j * raw[:, 1])
-
-
-def encode(model: AutoencoderModel, s: int) -> complex:
-    """Map message s (0-based) to its normalized complex channel symbol."""
-    if not 0 <= s < model.m:
-        raise ValueError(f"message {s} outside 0..{model.m - 1}")
-    one_hot = np.zeros(model.m)
-    one_hot[s] = 1.0
-    out, _ = forward(model.tx, one_hot)
-    return complex(model.norm_scale * out[0], model.norm_scale * out[1])
 
 
 def _rx_input_scale(model: AutoencoderModel) -> float:
@@ -226,48 +208,25 @@ def set_model_parameters(model: AutoencoderModel, params: list[np.ndarray]) -> N
     model.rx.set_parameters(params[n_tx:])
 
 
-def _pipeline(model: AutoencoderModel, messages: np.ndarray, noise: np.ndarray):
-    """Forward the full batch pipeline with fixed noise; returns all intermediates."""
-    eye = np.eye(model.m)
-    raw, cache_tx = forward(model.tx, eye)
-    mean_power = float(np.mean(np.sum(raw * raw, axis=1)))
-    if mean_power == 0.0:
-        raise ValueError("transmitter outputs have zero mean power, cannot normalize")
-    scale = np.sqrt(model.input_power_w / mean_power)
-    points = scale * (raw[:, 0] + 1j * raw[:, 1])
-    x = points[messages]
-    y, tape = propagate_tape(x, noise, model.params)
-    post, cache_rx, sums = _posteriors(model, y)
-    n = messages.shape[0]
-    p_true = post[np.arange(n), messages]
-    clamped = p_true < CROSS_ENTROPY_FLOOR
-    loss = float(np.mean(-np.log(np.maximum(p_true, CROSS_ENTROPY_FLOOR))))
-    return loss, clamped, raw, cache_tx, mean_power, scale, tape, post, cache_rx, sums
-
-
-def batch_loss(model: AutoencoderModel, messages: np.ndarray, noise: np.ndarray) -> float:
-    """Mean cross-entropy of one batch for a fixed noise realization."""
-    return _pipeline(model, messages, noise)[0]
-
-
 def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: np.ndarray):
-    """Batch loss plus exact gradients for every transmitter/receiver parameter.
+    """Mean cross-entropy of one batch for a fixed noise realization, plus
+    exact gradients for every transmitter/receiver parameter.
 
     Returns (loss, grads aligned with model_parameters(), floor_hit_count).
     The reverse pass runs decode -> channel tape -> normalization scale ->
     transmitter, with the scale differentiated through the batch's M symbol
     powers.
     """
-    (loss, clamped, raw, cache_tx, mean_power, scale, tape, post, cache_rx, sums) = _pipeline(
-        model, messages, noise
-    )
-    n = messages.shape[0]
-    rows = np.arange(n)
-    p_true = post[rows, messages]
+    raw, cache_tx = forward(model.tx, np.eye(model.m))
+    mean_power, scale = _power_scale(raw, model.input_power_w)
+    points = scale * (raw[:, 0] + 1j * raw[:, 1])
+    y, tape = propagate_tape(points[messages], noise, model.params)
+    post, cache_rx, sums = _posteriors(model, y)
+    loss, clamped = cross_entropy(post, messages)
 
+    hit = np.flatnonzero(~clamped)
     d_post = np.zeros_like(post)
-    ok = ~clamped
-    d_post[rows[ok], messages[ok]] = -1.0 / (n * p_true[ok])
+    d_post[hit, messages[hit]] = -1.0 / (messages.shape[0] * post[hit, messages[hit]])
     # posterior = sig / sum(sig): pull gradient through the normalization
     row_dot = np.sum(d_post * post, axis=1, keepdims=True)
     d_sig = (d_post - row_dot) / sums[:, None]
@@ -391,6 +350,11 @@ def save_checkpoint(model: AutoencoderModel, path, train_config: TrainConfig | N
         fh.write("\n")
 
 
+def _channel_from_dict(d: dict) -> ChannelParams:
+    # files written before ChannelParams lost its unused `seed` field carry it
+    return ChannelParams(**{k: v for k, v in d.items() if k != "seed"})
+
+
 def load_checkpoint(path) -> AutoencoderModel:
     """Read a checkpoint written by save_checkpoint."""
     try:
@@ -410,20 +374,9 @@ def load_checkpoint(path) -> AutoencoderModel:
             rx=_net_from_dict(doc["receiver"]),
             norm_scale=doc["norm_scale"],
             m=doc["m"],
-            params=ChannelParams(**doc["channel"]),
+            params=_channel_from_dict(doc["channel"]),
             input_power_w=doc["input_power_w"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint contents in {path}: {exc}") from exc
     return model
-
-
-def load_train_config(path) -> TrainConfig | None:
-    """Training config recorded in a checkpoint, if any."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    tc = doc.get("train_config")
-    return None if tc is None else TrainConfig(**tc)

@@ -13,11 +13,11 @@ Unit conventions: powers are stored in watts (user-facing dBm values are
 converted at the boundary), lengths in km, and the nonlinearity parameter
 in rad / (W * km), so L * gamma * |x|^2 is a phase in radians.
 
-Randomness: all noise is drawn from a numpy Generator backed by the
-counter-based Philox bit generator (`make_rng`), with real and imaginary
-normal deviates drawn in that order at every segment.  This is the one
-generator algorithm used throughout the package; identical seeds give
-bit-identical outputs.
+Randomness: every generator in the package comes from `make_rng`, a numpy
+Generator backed by the counter-based Philox bit generator and seeded from
+a SeedSequence node (entropy plus spawn key), with real and imaginary
+normal deviates drawn in that order at every segment.  Identical seeds
+give bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "watts_from_dbm",
     "dbm_from_watts",
     "make_rng",
+    "derived_seed",
     "draw_noise",
     "propagate",
     "propagate_tape",
@@ -51,9 +52,21 @@ def dbm_from_watts(p_w: float) -> float:
     return 10.0 * np.log10(p_w) + 30.0
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator (Philox 4x64) used for all sampling."""
-    return np.random.Generator(np.random.Philox(seed))
+def make_rng(entropy, *spawn_key: int) -> np.random.Generator:
+    """Counter-based generator (Philox 4x64) used for all sampling.
+
+    Seeded from SeedSequence(entropy, spawn_key=spawn_key): `make_rng(s)`
+    is the root stream of seed s, a tuple entropy such as (s, tag) names a
+    structurally disjoint stream, and `make_rng(e, i)` is child i of what
+    SeedSequence(e).spawn() would give.
+    """
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def derived_seed(root_seed: int, index: int, slot: int) -> int:
+    """A 32-bit seed derived from (root_seed, index, slot), for per-task streams."""
+    return int(np.random.SeedSequence((root_seed, index, slot)).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -68,7 +81,6 @@ class ChannelParams:
     gamma: float = 1.27
     noise_power_w: float = field(default_factory=lambda: watts_from_dbm(-21.3))
     segments: int = 50
-    seed: int = 0
 
     def __post_init__(self):
         if not self.link_length_km > 0:
@@ -103,32 +115,16 @@ class PropagationTape:
     noise: np.ndarray
     params: ChannelParams
 
-    def replay(self) -> np.ndarray:
-        """Recompute all states from states[0] and the stored noise."""
-        out = np.empty_like(self.states)
-        out[0] = self.states[0]
-        c = self.params.phase_rate
-        for k in range(self.noise.shape[0]):
-            x = out[k]
-            out[k + 1] = x * np.exp(1j * c * (x.real**2 + x.imag**2)) + self.noise[k]
-        return out
-
 
 def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.ndarray:
     """Draw the full (K, *shape) noise tensor for one propagation.
 
     Each entry is CN(0, P_N/K); real parts of a segment are drawn before
-    imaginary parts so the stream layout is fixed.
+    imaginary parts, the same stream layout `propagate` consumes.
     """
     scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    k = params.segments
-    shape = tuple(np.atleast_1d(shape)) if not isinstance(shape, tuple) else shape
-    out = np.empty((k,) + shape, dtype=complex)
-    for i in range(k):
-        re = rng.standard_normal(shape)
-        im = rng.standard_normal(shape)
-        out[i] = scale * (re + 1j * im)
-    return out
+    z = rng.standard_normal((params.segments, 2) + tuple(np.atleast_1d(shape)))
+    return scale * (z[:, 0] + 1j * z[:, 1])
 
 
 def propagate(x, params: ChannelParams, rng: np.random.Generator):

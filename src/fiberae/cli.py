@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,6 @@ import numpy as np
 from fiberae import __version__
 from fiberae.autoencoder import (
     AutoencoderModel,
-    CheckpointError,
     TrainConfig,
     TrainingDivergedError,
     build_model,
@@ -32,20 +32,12 @@ from fiberae.autoencoder import (
     train,
 )
 from fiberae.channel import dbm_from_watts, watts_from_dbm
-from fiberae.config import ConfigError, RunConfig, config_hash, load_config, resolved_json
-from fiberae.evaluation import (
-    RasterSpec,
-    ae_detector,
-    decision_regions,
-    min_distance_detector,
-    ml_oracle_detector,
-    qam,
-    sweep,
-)
+from fiberae.config import RunConfig, config_hash, load_config, resolved_json
+from fiberae.evaluation import RasterSpec, decision_regions, detector_for, qam, sweep
 from fiberae.gradcheck import run_all
-from fiberae.likelihood import Constellation, build_oracle
 
 GRADCHECK_TOLERANCE = 1e-5
+MAX_SWEEP_POINTS = 10_000
 
 
 class CliError(ValueError):
@@ -59,15 +51,19 @@ class CliError(ValueError):
 def _parse_powers(args) -> list[float]:
     if args.powers is not None:
         try:
-            start_s, step_s, stop_s = args.powers.split(":")
-            start, step, stop = float(start_s), float(step_s), float(stop_s)
+            start, step, stop = (float(f) for f in args.powers.split(":"))
         except ValueError as exc:
             raise CliError(f"--powers must be start:step:stop, got {args.powers!r}") from exc
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise CliError(f"--powers fields must be finite, got {args.powers!r}")
         if step <= 0:
             raise CliError("--powers step must be positive")
         out = []
         v = start
         while v <= stop + 1e-9:
+            # the cap also ends a sweep whose step is below the resolution of v
+            if len(out) == MAX_SWEEP_POINTS:
+                raise CliError(f"--powers {args.powers} gives more than {MAX_SWEEP_POINTS} points")
             out.append(round(v, 10) + 0.0)
             v += step
         return out
@@ -134,50 +130,62 @@ def _load_checkpoint_file(path: Path) -> AutoencoderModel:
     return load_checkpoint(path)
 
 
-def _model_for_power(source: Path, m: int, power_dbm: float) -> AutoencoderModel:
-    """Resolve a checkpoint file or per-power directory to a model."""
-    if source.is_dir():
-        path = source / checkpoint_name(m, power_dbm)
-        if not path.is_file():
-            raise CliError(f"no checkpoint {path} for {power_dbm} dBm")
-        return load_checkpoint(path)
-    model = _load_checkpoint_file(source)
-    trained = dbm_from_watts(model.input_power_w)
-    if abs(trained - power_dbm) > 1e-6:
+def _checkpoint_on_channel(path: Path, config: RunConfig) -> AutoencoderModel:
+    """Load a checkpoint that is to run on the config's channel.
+
+    A checkpoint records the channel it was trained on; rather than pick
+    one of two disagreeing channels, refuse the pair.
+    """
+    model = _load_checkpoint_file(path)
+    expected = config.channel.params()
+    if model.params != expected:
         raise CliError(
-            f"checkpoint {source} was trained at {trained:.2f} dBm, not {power_dbm} dBm; "
-            "pass a checkpoint directory for sweeps"
+            f"checkpoint {path} was trained on {model.params}, but the config gives "
+            f"{expected}; pass the config it was trained with"
         )
     return model
 
 
-def _default_powers_from_source(args, source: Path) -> list[float]:
+def _resolve_source(args, config: RunConfig):
+    """(powers, per-power source function, output tag) of 'qam' or a checkpoint.
+
+    A checkpoint directory holds one file per power; a single checkpoint
+    file is loaded once and defaults to its own trained power.
+    """
     powers = _parse_powers(args)
-    if not powers and source is not None and source.is_file():
-        model = _load_checkpoint_file(source)
-        powers = [round(dbm_from_watts(model.input_power_w), 10)]
-    if not powers:
-        raise CliError("need --power or --powers")
-    return powers
-
-
-def _source_fn(source_arg: str, config: RunConfig, detector: str):
-    """Per-power source: 'qam' or a checkpoint path/directory."""
-    m = config.model.m
-    if source_arg == "qam":
-        if detector == "ae":
+    if args.source == "qam":
+        if args.detector == "ae":
             raise CliError("the ae detector needs a checkpoint source, not qam")
 
-        def fn(p_dbm: float):
-            return qam(m, watts_from_dbm(p_dbm))
+        def source_fn(p_dbm: float):
+            return qam(config.model.m, watts_from_dbm(p_dbm))
 
-        return fn, None
-    source = Path(source_arg)
+    elif Path(args.source).is_dir():
 
-    def fn(p_dbm: float):
-        return _model_for_power(source, m, p_dbm)
+        def source_fn(p_dbm: float):
+            path = Path(args.source) / checkpoint_name(config.model.m, p_dbm)
+            return _checkpoint_on_channel(path, config)
 
-    return fn, source
+    else:
+        model = _checkpoint_on_channel(Path(args.source), config)
+        trained = dbm_from_watts(model.input_power_w)
+        powers = powers or [round(trained, 10)]
+
+        def source_fn(p_dbm: float):
+            if abs(trained - p_dbm) > 1e-6:
+                raise CliError(
+                    f"checkpoint {args.source} was trained at {trained:.2f} dBm, not "
+                    f"{p_dbm} dBm; pass a checkpoint directory for sweeps"
+                )
+            return model
+
+    if not powers:
+        raise CliError("need --power or --powers")
+    return powers, source_fn, "qam" if args.source == "qam" else "ae-const"
+
+
+def _layer_plan(model: AutoencoderModel) -> list:
+    return [(l.weights.shape, l.activation) for net in (model.tx, model.rx) for l in net.layers]
 
 
 # ---------------------------------------------------------------------------
@@ -186,27 +194,26 @@ def _source_fn(source_arg: str, config: RunConfig, detector: str):
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    if args.power is None:
-        raise CliError("train needs --power <dbm>")
     out_dir = Path(args.out or config.paths.checkpoints)
     _echo_config(out_dir, config)
-    params = config.channel.params()
     seed = args.seed if args.seed is not None else config.train.seed
     power = float(args.power)
+    # the config's model; a warm start must match its layer plan
+    model = build_model(
+        config.model.m,
+        config.channel.params(),
+        watts_from_dbm(power),
+        seed=config.model.init_seed,
+        tx_hidden=config.model.tx_hidden_layers,
+        rx_hidden=config.model.rx_hidden_layers,
+        hidden_width=config.model.hidden_width,
+    )
     if args.warm_start is not None:
-        model = _load_checkpoint_file(Path(args.warm_start))
-        if model.m != config.model.m:
-            raise CliError("warm-start checkpoint has a different constellation size")
-    else:
-        model = build_model(
-            config.model.m,
-            params,
-            watts_from_dbm(power),
-            seed=config.model.init_seed,
-            tx_hidden=config.model.tx_hidden_layers,
-            rx_hidden=config.model.rx_hidden_layers,
-            hidden_width=config.model.hidden_width,
-        )
+        path = Path(args.warm_start)
+        warm = _checkpoint_on_channel(path, config)
+        if _layer_plan(warm) != _layer_plan(model):
+            raise CliError(f"warm-start checkpoint {path} has a different layer plan than the config")
+        model = warm
     train_config = TrainConfig(
         batch_size=config.batch_size(),
         batches=args.batches if args.batches is not None else config.train.batches,
@@ -226,22 +233,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_ser(args) -> int:
+def cmd_sweep(args) -> int:
+    """ser, mi and air: one metric over input powers, one CSV row per power."""
     config = load_config(args.config)
     out_dir = Path(args.out or config.paths.outputs)
     _echo_config(out_dir, config)
-    source_fn, source_path = _source_fn(args.source, config, args.detector)
-    powers = (
-        _default_powers_from_source(args, source_path)
-        if source_path is not None
-        else _parse_powers(args)
-    )
-    if not powers:
-        raise CliError("need --power or --powers")
+    powers, source_fn, tag = _resolve_source(args, config)
     seed = args.seed if args.seed is not None else config.eval.seed
     rows = sweep(
         powers,
-        "ser",
+        args.command,
         source_fn,
         config.channel.params(),
         args.samples or config.eval.n_samples,
@@ -250,35 +251,9 @@ def cmd_ser(args) -> int:
         oracle_samples=args.oracle_samples or config.eval.oracle_samples,
         threads=args.threads,
     )
-    tag = "qam" if args.source == "qam" else "ae-const"
-    path = out_dir / f"ser_{tag}_{args.detector}.csv"
-    _write_results_csv(path, config, seed, rows)
-    print(f"wrote {path}")
-    return 0
-
-
-def cmd_air(args) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.outputs)
-    _echo_config(out_dir, config)
-    source = Path(args.checkpoint)
-    powers = _default_powers_from_source(args, source)
-    seed = args.seed if args.seed is not None else config.eval.seed
-
-    def source_fn(p_dbm: float):
-        return _model_for_power(source, config.model.m, p_dbm)
-
-    rows = sweep(
-        powers,
-        "air",
-        source_fn,
-        config.channel.params(),
-        args.samples or config.eval.n_samples,
-        seed,
-        threads=args.threads,
-    )
     extra = _overlay_rows(args.overlay) if args.overlay else ()
-    path = out_dir / "air.csv"
+    name = {"ser": f"ser_{tag}_{args.detector}", "mi": f"mi_{tag}", "air": "air"}[args.command]
+    path = out_dir / f"{name}.csv"
     _write_results_csv(path, config, seed, rows, extra_rows=extra)
     print(f"wrote {path}")
     return 0
@@ -310,71 +285,17 @@ def _overlay_rows(overlay_path: str) -> list[str]:
     return rows
 
 
-def cmd_mi(args) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.outputs)
-    _echo_config(out_dir, config)
-    source_fn, source_path = _source_fn(args.source, config, detector="ml")
-    powers = (
-        _default_powers_from_source(args, source_path)
-        if source_path is not None
-        else _parse_powers(args)
-    )
-    if not powers:
-        raise CliError("need --power or --powers")
-    seed = args.seed if args.seed is not None else config.eval.seed
-    rows = sweep(
-        powers,
-        "mi",
-        source_fn,
-        config.channel.params(),
-        args.samples or config.eval.n_samples,
-        seed,
-        oracle_samples=args.oracle_samples or config.eval.oracle_samples,
-        threads=args.threads,
-    )
-    tag = "qam" if args.source == "qam" else "ae-const"
-    path = out_dir / f"mi_{tag}.csv"
-    _write_results_csv(path, config, seed, rows)
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_regions(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out or config.paths.outputs)
     _echo_config(out_dir, config)
     seed = args.seed if args.seed is not None else config.eval.seed
-    params = config.channel.params()
-
-    if args.source == "qam":
-        if args.detector == "ae":
-            raise CliError("the ae detector needs a checkpoint source")
-        powers = _parse_powers(args)
-        if not powers:
-            raise CliError("need --power with a qam source")
-        power = powers[0]
-        const = qam(config.model.m, watts_from_dbm(power))
-        model = None
-    else:
-        source = Path(args.source)
-        powers = _default_powers_from_source(args, source)
-        power = powers[0]
-        model = _model_for_power(source, config.model.m, power)
-        const = Constellation(
-            points=constellation_points(model), power_w=model.input_power_w
-        )
-
-    if args.detector == "ae":
-        detector = ae_detector(model)
-    elif args.detector == "ml":
-        oracle = build_oracle(
-            const, params, args.oracle_samples or config.eval.oracle_samples,
-            seed, threads=args.threads,
-        )
-        detector = ml_oracle_detector(oracle)
-    else:
-        detector = min_distance_detector(const)
+    powers, source_fn, _ = _resolve_source(args, config)
+    power = powers[0]
+    detector = detector_for(
+        args.detector, source_fn(power), config.channel.params(),
+        args.oracle_samples or config.eval.oracle_samples, seed, threads=args.threads,
+    )
 
     half_width = args.half_width or config.eval.raster_half_width
     if half_width is None:
@@ -450,6 +371,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output directory (overrides config paths)")
 
 
+def _add_sweep(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--power", type=float)
+    p.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
+    p.add_argument("--samples", type=int, help="Monte Carlo samples per power")
+    p.set_defaults(func=cmd_sweep, overlay=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fiberae",
@@ -469,29 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file/directory")
     p.add_argument("--detector", choices=("mindist", "ml", "ae"), default="mindist")
-    p.add_argument("--power", type=float)
-    p.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples per power")
+    _add_sweep(p)
     p.add_argument("--oracle-samples", type=int, help="KDE samples per symbol")
-    p.set_defaults(func=cmd_ser)
 
     p = sub.add_parser("air", help="decoder information rate of trained models")
     _add_common(p)
-    p.add_argument("--checkpoint", required=True, help="checkpoint file or directory")
-    p.add_argument("--power", type=float)
-    p.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--checkpoint", dest="source", required=True,
+                   help="checkpoint file or directory")
+    _add_sweep(p)
     p.add_argument("--overlay", help="external bound curves CSV merged into the output")
-    p.set_defaults(func=cmd_air)
+    p.set_defaults(detector="ae", oracle_samples=None)
 
     p = sub.add_parser("mi", help="oracle mutual information of a constellation")
     _add_common(p)
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file/directory")
-    p.add_argument("--power", type=float)
-    p.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--oracle-samples", type=int)
-    p.set_defaults(func=cmd_mi)
+    _add_sweep(p)
+    p.add_argument("--oracle-samples", type=int, help="KDE samples per symbol")
+    p.set_defaults(detector="ml")
 
     p = sub.add_parser("regions", help="decision-region raster")
     _add_common(p)
@@ -523,10 +445,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, CheckpointError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrainingDivergedError) as exc:
+        # CliError, ConfigError and CheckpointError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

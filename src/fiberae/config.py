@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from fiberae.channel import ChannelParams, watts_from_dbm
 
@@ -39,7 +39,6 @@ class ChannelBlock:
     gamma: float = 1.27
     noise_power_dbm: float = -21.3
     segments: int = 50
-    seed: int = 1
 
     def params(self) -> ChannelParams:
         return ChannelParams(
@@ -47,7 +46,6 @@ class ChannelBlock:
             gamma=self.gamma,
             noise_power_w=watts_from_dbm(self.noise_power_dbm),
             segments=self.segments,
-            seed=self.seed,
         )
 
 
@@ -162,13 +160,9 @@ def load_config(path=None) -> RunConfig:
 
 def resolved_json(config: RunConfig) -> str:
     """Canonical JSON of the fully resolved config (defaults applied)."""
-    from dataclasses import asdict
-
     return json.dumps(asdict(config), sort_keys=True, indent=1) + "\n"
 
 
 def config_hash(config: RunConfig) -> str:
-    from dataclasses import asdict
-
     canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

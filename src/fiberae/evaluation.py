@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
-from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
+from fiberae.channel import ChannelParams, derived_seed, make_rng, propagate
 from fiberae.likelihood import (
     Constellation,
     LikelihoodOracle,
@@ -34,6 +34,7 @@ __all__ = [
     "min_distance_detector",
     "ae_detector",
     "ml_oracle_detector",
+    "detector_for",
     "ser",
     "air",
     "air_from_posterior_mass",
@@ -101,7 +102,18 @@ def qam(m: int, p_in_w: float) -> Constellation:
     level_q = np.array([_gray_decode(s & (side - 1)) for s in idx])
     pts = levels[level_i] + 1j * levels[level_q]
     pts *= np.sqrt(p_in_w / np.mean(np.abs(pts) ** 2))
-    return Constellation(points=pts, power_w=p_in_w, labels=tuple(int(s) for s in idx))
+    return Constellation(points=pts, power_w=p_in_w)
+
+
+def _as_constellation(source) -> Constellation:
+    """The constellation itself, or a trained model's normalized symbols."""
+    if isinstance(source, Constellation):
+        return source
+    if isinstance(source, AutoencoderModel):
+        return Constellation(
+            points=constellation_points(source), power_w=source.input_power_w
+        )
+    raise TypeError(f"cannot interpret {type(source).__name__} as a constellation")
 
 
 def min_distance_detector(constellation: Constellation):
@@ -129,21 +141,30 @@ def ml_oracle_detector(oracle: LikelihoodOracle):
     return detector
 
 
-def _points_of(source) -> np.ndarray:
-    if isinstance(source, Constellation):
-        return source.points
-    if isinstance(source, AutoencoderModel):
-        return constellation_points(source)
-    raise TypeError(f"cannot take constellation points from {type(source).__name__}")
+def detector_for(kind: str, source, params: ChannelParams, oracle_samples: int,
+                 seed: int, threads: int = 1):
+    """Detector of the given kind ("mindist", "ml" or "ae") for a source.
+
+    "ml" builds a sampled-likelihood oracle from `oracle_samples` outputs per
+    symbol, seeded by `seed`; "ae" needs a trained model as the source.
+    """
+    if kind == "mindist":
+        return min_distance_detector(_as_constellation(source))
+    if kind == "ae":
+        return ae_detector(source)
+    if kind == "ml":
+        oracle = build_oracle(_as_constellation(source), params, oracle_samples, seed,
+                              threads=threads)
+        return ml_oracle_detector(oracle)
+    raise ValueError(f"unknown detector {kind!r}")
 
 
 def ser(source, detector, params: ChannelParams, n_samples: int, seed: int) -> float:
     """Monte-Carlo symbol error rate with balanced message draws."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    points = _points_of(source)
-    m = points.size
-    msgs = np.arange(n_samples) % m
+    points = _as_constellation(source).points
+    msgs = np.arange(n_samples) % points.size
     y = propagate(points[msgs], params, make_rng(seed))
     return float(np.mean(np.asarray(detector(y)) != msgs))
 
@@ -183,15 +204,10 @@ def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
 def output_radius(source, params: ChannelParams, n_samples: int = 100_000,
                   seed: int = 0, quantile: float = 0.99) -> float:
     """Radius containing the given fraction of channel output magnitude."""
-    points = _points_of(source)
+    points = _as_constellation(source).points
     msgs = np.arange(n_samples) % points.size
     y = propagate(points[msgs], params, make_rng(seed))
     return float(np.quantile(np.abs(y), quantile))
-
-
-def _derived_seed(root_seed: int, index: int, slot: int) -> int:
-    ss = np.random.SeedSequence((root_seed, index, slot))
-    return int(ss.generate_state(1)[0])
 
 
 def sweep(
@@ -222,25 +238,17 @@ def sweep(
     def one_power(item) -> SweepResult:
         i, p_dbm = item
         source = source_fn(p_dbm)
-        eval_seed = _derived_seed(seed, i, 0)
-        build_seed = _derived_seed(seed, i, 1)
+        eval_seed = derived_seed(seed, i, 0)
+        build_seed = derived_seed(seed, i, 1)
         if metric == "ser":
-            if detector == "mindist":
-                det = min_distance_detector(_as_constellation(source, p_dbm))
-            elif detector == "ae":
-                det = ae_detector(source)
-            else:
-                oracle = build_oracle(
-                    _as_constellation(source, p_dbm), params, oracle_samples, build_seed
-                )
-                det = ml_oracle_detector(oracle)
+            det = detector_for(detector, source, params, oracle_samples, build_seed)
             value = ser(source, det, params, n_samples, eval_seed)
         elif metric == "air":
             if not isinstance(source, AutoencoderModel):
                 raise TypeError("air sweeps need a trained model per power")
             value = air(source, n_samples, eval_seed)
         else:
-            const = _as_constellation(source, p_dbm)
+            const = _as_constellation(source)
             oracle = build_oracle(const, params, oracle_samples, build_seed)
             value = mutual_information(oracle, const, params, n_samples, eval_seed)
         return SweepResult(
@@ -253,13 +261,3 @@ def sweep(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one_power, items))
     return [one_power(it) for it in items]
-
-
-def _as_constellation(source, power_dbm: float) -> Constellation:
-    if isinstance(source, Constellation):
-        return source
-    if isinstance(source, AutoencoderModel):
-        return Constellation(
-            points=constellation_points(source), power_w=source.input_power_w
-        )
-    raise TypeError(f"cannot interpret {type(source).__name__} as a constellation")

@@ -7,20 +7,16 @@ Three checks, one per gradient implementation:
 * the full training loss through transmitter, normalization, channel,
   and receiver with a fixed noise realization.
 
-All comparisons use central differences and report the worst mixed error
-|analytic - numeric| / max(|analytic|, |numeric|, 1).
+All three run through `nets.finite_difference_error`: central differences,
+reporting the worst mixed error |analytic - numeric| / max(|analytic|,
+|numeric|, 1).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fiberae.autoencoder import (
-    batch_loss,
-    batch_loss_and_grads,
-    build_model,
-    model_parameters,
-)
+from fiberae.autoencoder import batch_loss_and_grads, build_model, model_parameters
 from fiberae.channel import (
     ChannelParams,
     backprop_channel,
@@ -29,7 +25,7 @@ from fiberae.channel import (
     propagate_tape,
     watts_from_dbm,
 )
-from fiberae.nets import grad_check, network
+from fiberae.nets import finite_difference_error, grad_check, network
 
 __all__ = [
     "dense_network_error",
@@ -39,10 +35,6 @@ __all__ = [
 ]
 
 FD_STEP = 1e-6
-
-
-def _mixed_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
 def dense_network_error(seed: int = 0) -> float:
@@ -75,19 +67,18 @@ def channel_error(segment_counts=(1, 5, 50), seed: int = 0, step: float = FD_STE
     rng = make_rng(seed)
     for segments in segment_counts:
         params = ChannelParams(segments=segments)
-        x = complex(0.02 * rng.standard_normal(), 0.02 * rng.standard_normal())
+        x = np.array([0.02 * rng.standard_normal(), 0.02 * rng.standard_normal()])
         noise = draw_noise(params, (1,), rng)
         gr, gi = rng.standard_normal(), rng.standard_normal()
 
-        def loss(re, im):
-            y, _ = propagate_tape(complex(re, im), noise, params)
+        def loss():
+            y, _ = propagate_tape(complex(x[0], x[1]), noise, params)
             return gr * y[0].real + gi * y[0].imag
 
-        _, tape = propagate_tape(np.array([x]), noise, params)
-        g = backprop_channel(tape, np.array([complex(gr, gi)]))
-        num_re = (loss(x.real + step, x.imag) - loss(x.real - step, x.imag)) / (2 * step)
-        num_im = (loss(x.real, x.imag + step) - loss(x.real, x.imag - step)) / (2 * step)
-        worst = max(worst, _mixed_error(g[0].real, num_re), _mixed_error(g[0].imag, num_im))
+        _, tape = propagate_tape(np.array([complex(x[0], x[1])]), noise, params)
+        g = backprop_channel(tape, np.array([complex(gr, gi)]))[0]
+        analytic = [np.array([g.real, g.imag])]
+        worst = max(worst, finite_difference_error([x], analytic, loss, step))
     return worst
 
 
@@ -110,19 +101,10 @@ def end_to_end_error(
     messages = np.arange(batch) % m
     noise = draw_noise(params, messages.shape, make_rng(seed + 1))
     _, grads, _ = batch_loss_and_grads(model, messages, noise)
-    worst = 0.0
-    for pi, p in enumerate(model_parameters(model)):
-        flat = p.reshape(-1)
-        ga = grads[pi].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            plus = batch_loss(model, messages, noise)
-            flat[j] = orig - step
-            minus = batch_loss(model, messages, noise)
-            flat[j] = orig
-            worst = max(worst, _mixed_error(ga[j], (plus - minus) / (2 * step)))
-    return worst
+    return finite_difference_error(
+        model_parameters(model), grads,
+        lambda: batch_loss_and_grads(model, messages, noise)[0], step,
+    )
 
 
 def run_all(seed: int = 0) -> dict[str, float]:

@@ -47,16 +47,15 @@ oracle, are always used.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 from scipy.special import ndtr
 
-from fiberae.channel import ChannelParams, propagate
+from fiberae.channel import ChannelParams, make_rng, propagate
 
 __all__ = [
     "Constellation",
@@ -65,8 +64,6 @@ __all__ = [
     "likelihood",
     "ml_detect",
     "mutual_information",
-    "save_oracle_cache",
-    "load_oracle_cache",
 ]
 
 DENSITY_FLOOR = float(np.finfo(float).tiny)
@@ -75,9 +72,6 @@ GRID_PAD_BANDWIDTHS = 8.0
 BINS_PER_BANDWIDTH = 3.0
 MAX_GRID_SIDE = 1024
 MIN_GRID_SIDE = 64
-
-CACHE_FORMAT = "fiberae-oracle-cache"
-CACHE_VERSION = 1
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -88,7 +82,6 @@ class Constellation:
 
     points: np.ndarray
     power_w: float
-    labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -100,8 +93,6 @@ class Constellation:
             raise ValueError(
                 f"constellation mean power {mean_power} != declared {self.power_w}"
             )
-        if self.labels is not None and len(self.labels) != pts.size:
-            raise ValueError("labels must match the number of points")
 
     @property
     def m(self) -> int:
@@ -243,11 +234,6 @@ def _fit_density(cloud: np.ndarray) -> _SymbolDensity:
     )
 
 
-def _stream(seed: int, tag: int) -> np.random.Generator:
-    # structurally disjoint streams for build (tag 1) vs estimation (tag 2)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, tag))))
-
-
 def build_oracle(
     constellation: Constellation,
     params: ChannelParams,
@@ -257,17 +243,16 @@ def build_oracle(
 ) -> LikelihoodOracle:
     """Propagate S samples per symbol and fit the gridded KDEs.
 
-    Per-symbol noise streams are spawned deterministically from `seed`, so
-    the result is independent of `threads`.
+    Symbol i draws its noise from child i of the stream (seed, 1), which is
+    disjoint from the estimation stream (seed, 2) of `mutual_information`,
+    so the result is independent of `threads`.
     """
     if samples_per_symbol < 1000:
         raise ValueError("need at least 1000 samples per symbol")
-    children = np.random.SeedSequence((seed, 1)).spawn(constellation.m)
 
     def one_symbol(i: int):
-        rng = np.random.Generator(np.random.Philox(children[i]))
         x = np.full(samples_per_symbol, constellation.points[i])
-        cloud = propagate(x, params, rng)
+        cloud = propagate(x, params, make_rng((seed, 1), i))
         return cloud, _fit_density(cloud)
 
     if threads > 1:
@@ -329,7 +314,7 @@ def mutual_information(
     denominator, so each term is at most log2 M; negative estimates are
     Monte Carlo noise and clamp to 0.
     """
-    rng = _stream(seed, 2)
+    rng = make_rng((seed, 2))
     msgs = rng.integers(0, constellation.m, size=n_samples)
     y = propagate(constellation.points[msgs], params, rng)
     dens = _log_density_matrix(oracle, y)
@@ -342,47 +327,3 @@ def mutual_information(
     est = float(np.mean(own - mix)) / math.log(2.0)
     return max(0.0, est)
 
-
-def save_oracle_cache(oracle: LikelihoodOracle, path) -> None:
-    """Write the raw sample clouds so the oracle can be rebuilt exactly."""
-    doc = {
-        "format": CACHE_FORMAT,
-        "version": CACHE_VERSION,
-        "power_w": oracle.constellation.power_w,
-        "points": [[p.real, p.imag] for p in oracle.constellation.points],
-        "channel": asdict(oracle.params),
-        "samples_per_symbol": oracle.samples_per_symbol,
-        "seed": oracle.seed,
-        "clouds": [
-            [[c.real, c.imag] for c in cloud] for cloud in oracle.clouds
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_oracle_cache(path) -> LikelihoodOracle:
-    """Rebuild an oracle from a cache file written by save_oracle_cache."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"malformed oracle cache {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != CACHE_FORMAT:
-        raise ValueError(f"{path} is not an oracle cache")
-    if doc.get("version") != CACHE_VERSION:
-        raise ValueError(f"unsupported oracle cache version {doc.get('version')!r}")
-    points = np.array([complex(re, im) for re, im in doc["points"]])
-    constellation = Constellation(points=points, power_w=doc["power_w"])
-    clouds = [
-        np.array([complex(re, im) for re, im in cloud]) for cloud in doc["clouds"]
-    ]
-    return LikelihoodOracle(
-        constellation=constellation,
-        params=ChannelParams(**doc["channel"]),
-        samples_per_symbol=doc["samples_per_symbol"],
-        seed=doc["seed"],
-        clouds=clouds,
-        densities=[_fit_density(c) for c in clouds],
-    )

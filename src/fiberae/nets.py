@@ -9,7 +9,7 @@ arrays.
 The training loss is the cross-entropy of a one-hot target against a
 posterior, taken with the natural log (information rates elsewhere use
 log2).  Posteriors are floored at CROSS_ENTROPY_FLOOR so the loss stays
-finite; callers can count floor hits via the batch helpers.
+finite; `cross_entropy` reports which rows hit the floor.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "adam_step",
     "backward",
     "cross_entropy",
+    "finite_difference_error",
     "forward",
     "glorot_layer",
     "grad_check",
@@ -135,14 +136,6 @@ class DenseNetwork:
             layer.weights = np.asarray(w, dtype=float)
             layer.biases = np.asarray(b, dtype=float)
 
-    def clone(self) -> "DenseNetwork":
-        return DenseNetwork(
-            [
-                DenseLayer(l.weights.copy(), l.biases.copy(), l.activation)
-                for l in self.layers
-            ]
-        )
-
 
 def glorot_layer(n_in: int, n_out: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """Uniform Glorot initialization, zero biases."""
@@ -214,18 +207,16 @@ def backward(net: DenseNetwork, cache: ForwardCache, grad_output) -> tuple[list[
     return param_grads, (g if cache.batched else g[0])
 
 
-def cross_entropy(one_hot, posterior, floor: float = CROSS_ENTROPY_FLOOR) -> float:
-    """-log(posterior[s]) at the hot index s, natural log.
+def cross_entropy(posteriors: np.ndarray, messages: np.ndarray):
+    """Mean of -log(posterior of the true message) over a batch, natural log.
 
-    A posterior below `floor` is clamped (loss stays finite); the clamp is
-    visible to callers because the returned value equals -log(floor).
+    `posteriors` is (n, M), `messages` the n true indices.  Posteriors below
+    CROSS_ENTROPY_FLOOR are clamped so the loss stays finite; returns
+    (loss, boolean mask of the clamped rows).
     """
-    u = np.asarray(one_hot, dtype=float)
-    p = np.asarray(posterior, dtype=float)
-    if u.shape != p.shape:
-        raise ValueError("one_hot and posterior must have the same length")
-    s = int(np.argmax(u))
-    return float(-np.log(max(p[s], floor)))
+    p_true = posteriors[np.arange(messages.shape[0]), messages]
+    clamped = p_true < CROSS_ENTROPY_FLOOR
+    return float(np.mean(-np.log(np.maximum(p_true, CROSS_ENTROPY_FLOOR)))), clamped
 
 
 @dataclass
@@ -274,29 +265,38 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
     return new_params, new_state
 
 
-def grad_check(net: DenseNetwork, loss_fn, x, step: float = 1e-6) -> float:
-    """Compare backward() against central finite differences.
+def finite_difference_error(params: list[np.ndarray], analytic: list[np.ndarray],
+                            loss, step: float) -> float:
+    """Worst mixed error of analytic gradients against central differences.
 
-    `loss_fn(output_vector)` must return (value, grad_wrt_output).  Every
-    parameter entry is perturbed by +-step; the reported figure is the worst
-    mixed error |analytic - numeric| / max(|analytic|, |numeric|, 1).
+    Every entry of every array in `params` is perturbed by +-step in place
+    and restored; `loss()` must evaluate the loss on the live arrays.  The
+    figure is max |analytic - numeric| / max(|analytic|, |numeric|, 1).
     """
-    out, cache = forward(net, x)
-    _, grad_out = loss_fn(out)
-    analytic, _ = backward(net, cache, grad_out)
     worst = 0.0
-    params = net.parameters()
-    for pi, p in enumerate(params):
+    for p, g in zip(params, analytic):
         flat = p.reshape(-1)
-        ga = analytic[pi].reshape(-1)
+        ga = g.reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
             flat[j] = orig + step
-            plus, _ = loss_fn(forward(net, x)[0])
+            plus = loss()
             flat[j] = orig - step
-            minus, _ = loss_fn(forward(net, x)[0])
+            minus = loss()
             flat[j] = orig
             numeric = (plus - minus) / (2.0 * step)
-            err = abs(ga[j] - numeric) / max(abs(ga[j]), abs(numeric), 1.0)
-            worst = max(worst, err)
+            worst = max(worst, abs(ga[j] - numeric) / max(abs(ga[j]), abs(numeric), 1.0))
     return worst
+
+
+def grad_check(net: DenseNetwork, loss_fn, x, step: float = 1e-6) -> float:
+    """Compare backward() against central finite differences.
+
+    `loss_fn(output_vector)` must return (value, grad_wrt_output); the figure
+    is that of `finite_difference_error` over every parameter entry.
+    """
+    out, cache = forward(net, x)
+    analytic, _ = backward(net, cache, loss_fn(out)[1])
+    return finite_difference_error(
+        net.parameters(), analytic, lambda: loss_fn(forward(net, x)[0])[0], step
+    )

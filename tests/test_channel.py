@@ -98,6 +98,29 @@ class TestNoiselessPropagation:
         assert propagate(0j, params, make_rng(0)) == 0j
 
 
+class TestRandomness:
+    def test_draw_noise_matches_per_segment_draws(self):
+        params = ChannelParams(segments=7)
+        rng = make_rng(3)
+        scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
+        reference = np.empty((7, 4, 2), dtype=complex)
+        for k in range(7):
+            re = rng.standard_normal((4, 2))
+            im = rng.standard_normal((4, 2))
+            reference[k] = scale * (re + 1j * im)
+        assert np.array_equal(draw_noise(params, (4, 2), make_rng(3)), reference)
+
+    def test_make_rng_tree(self):
+        seq = np.random.SeedSequence
+        assert make_rng(5).random() == np.random.Generator(np.random.Philox(5)).random()
+        assert make_rng((5, 2)).random() == np.random.Generator(
+            np.random.Philox(seq((5, 2)))).random()
+        children = seq((5, 1)).spawn(3)
+        for i, child in enumerate(children):
+            a = make_rng((5, 1), i).standard_normal(4)
+            assert np.array_equal(a, np.random.Generator(np.random.Philox(child)).standard_normal(4))
+
+
 class TestNoiseStatistics:
     def test_awgn_reduction_mean_and_variance(self):
         # gamma = 0: y = x + sum of K independent CN(0, P_N/K) terms.
@@ -141,13 +164,14 @@ class TestTape:
         expected = x * np.exp(1j * lg * abs(x) ** 2) + n
         assert y[0] == pytest.approx(expected, rel=1e-14)
 
-    def test_replay_bit_identical(self):
+    def test_propagate_matches_tape_on_drawn_noise(self):
+        # propagate draws the noise segment by segment; draw_noise draws it
+        # in one call from the same stream layout
         params = ChannelParams(segments=30)
-        rng = make_rng(42)
-        x = 0.03 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
-        noise = draw_noise(params, x.shape, rng)
-        _, tape = propagate_tape(x, noise, params)
-        assert np.array_equal(tape.replay(), tape.states)
+        x = 0.03 * np.exp(1j * np.arange(15.0).reshape(3, 5))
+        y = propagate(x, params, make_rng(42))
+        y_tape, _ = propagate_tape(x, draw_noise(params, x.shape, make_rng(42)), params)
+        assert np.array_equal(y, y_tape)
 
     def test_segment_count_mismatch(self):
         params = ChannelParams(segments=5)

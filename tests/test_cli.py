@@ -2,15 +2,24 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fiberae
 from awgn_reference import awgn_qam_ser
 from fiberae.channel import watts_from_dbm
-from fiberae.cli import main
+from fiberae.cli import MAX_SWEEP_POINTS, CliError, _parse_powers, main
+from fiberae.config import _BLOCKS, ConfigError, config_hash, load_config, resolved_json
 
 AWGN_CONFIG = {
     "channel": {"gamma": 0.0},
@@ -53,6 +62,136 @@ class TestConfig:
         assert resolved["channel"]["gamma"] == 0.0
         assert resolved["channel"]["link_length_km"] == 5000.0
         assert resolved["model"]["m"] == 4
+
+
+def _config_docs():
+    """Valid config documents: any subset of blocks, any subset of keys."""
+    finite = dict(allow_nan=False, allow_infinity=False)
+    name = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8)
+
+    def block(**keys):
+        return st.fixed_dictionaries({}, optional=keys)
+
+    @st.composite
+    def docs(draw):
+        m = draw(st.integers(2, 32))
+        doc = {
+            "channel": draw(block(
+                link_length_km=st.floats(1.0, 1e4, **finite),
+                gamma=st.floats(0.0, 10.0, **finite),
+                noise_power_dbm=st.floats(-40.0, 0.0, **finite),
+                segments=st.integers(1, 100),
+            )),
+            "model": {"m": m, **draw(block(
+                tx_hidden_layers=st.integers(0, 6),
+                rx_hidden_layers=st.integers(0, 6),
+                hidden_width=st.none() | st.integers(1, 64),
+                init_seed=st.integers(0, 2**32 - 1),
+            ))},
+            "train": draw(block(
+                learning_rate=st.floats(0.0, 1.0, **finite),
+                batch_size=st.none() | st.integers(1, 64).map(lambda k: k * m),
+                batches=st.integers(1, 10**6),
+                seed=st.integers(0, 2**32 - 1),
+            )),
+            "eval": draw(block(
+                n_samples=st.integers(1, 10**7),
+                oracle_samples=st.integers(1000, 10**7),
+                seed=st.integers(0, 2**32 - 1),
+                raster_resolution=st.integers(16, 2000),
+                raster_half_width=st.none() | st.floats(1e-6, 1.0, **finite),
+            )),
+            "paths": draw(block(checkpoints=name, outputs=name)),
+        }
+        # the model block stays: train.batch_size depends on model.m
+        keep = draw(st.sets(st.sampled_from(sorted(doc)))) | {"model"}
+        return {k: v for k, v in doc.items() if k in keep}
+
+    return docs()
+
+
+def _load_doc(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        return load_config(path)
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_config_docs())
+    def test_resolved_json_round_trips(self, doc):
+        config = _load_doc(doc)
+        again = _load_doc(json.loads(resolved_json(config)))
+        assert config_hash(again) == config_hash(config)
+        assert resolved_json(again) == resolved_json(config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_config_docs(), st.sampled_from(sorted(_BLOCKS)), st.text(min_size=1, max_size=12))
+    def test_unknown_key_rejected(self, doc, block, key):
+        if key in {f.name for f in fields(_BLOCKS[block])}:
+            key += "_"
+        doc.setdefault(block, {})[key] = 1
+        with pytest.raises(ConfigError):
+            _load_doc(doc)
+
+    def test_channel_seed_key_rejected(self):
+        # the channel block no longer has a seed: nothing read it
+        with pytest.raises(ConfigError):
+            _load_doc({"channel": {"seed": 1}})
+
+
+def powers(text):
+    return _parse_powers(SimpleNamespace(powers=text, power=None))
+
+
+NUMBER = st.floats(-1e3, 1e3).map(repr)
+
+
+class TestPowers:
+    @given(st.integers(-200, 200), st.integers(1, 40), st.integers(0, 60), st.integers(0, 7))
+    def test_quarter_db_grids_exact(self, start, step, n, eighths):
+        # quarter-dB values are exact in binary, so the sweep is exact too
+        a, d = start / 4, step / 4
+        stop = a + n * d + eighths * d / 8
+        assert powers(f"{a!r}:{d!r}:{stop!r}") == [a + i * d for i in range(n + 1)]
+
+    @given(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 1e3))
+    def test_any_valid_triple(self, start, step, span):
+        stop = start + span
+        assume(span / step < MAX_SWEEP_POINTS - 2)
+        got = powers(f"{start!r}:{step!r}:{stop!r}")
+        assert abs(len(got) - (span / step + 1)) <= 1
+        assert got[0] == round(start, 10) + 0.0
+        assert all(b > a for a, b in zip(got, got[1:]))
+        assert got[-1] <= stop + 1e-9 + 1e-10
+
+    @pytest.mark.parametrize("text", [
+        "0:1:inf", "nan:1:2", "0:nan:1", "-inf:1:0", "0:1:1e999",
+        "1e300:1:1e300",  # a step below the resolution of the start
+        "0:0.001:10.001",  # 10002 points
+        "0:0:1", "0:-1:-5", "0:1", "0:1:2:3", "a:b:c", "",
+    ])
+    def test_examples_rejected(self, text):
+        with pytest.raises(CliError):
+            powers(text)
+
+    @given(st.one_of(
+        # a field count other than three
+        st.lists(NUMBER, max_size=5).filter(lambda f: len(f) != 3).map(":".join),
+        # one field not a finite number
+        st.tuples(st.lists(NUMBER, min_size=3, max_size=3), st.integers(0, 2),
+                  st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""]))
+        .map(lambda t: ":".join(t[0][:t[1]] + [t[2]] + t[0][t[1] + 1:])),
+        # a step that is not positive
+        st.tuples(NUMBER, st.floats(-1e3, 0.0).map(repr), NUMBER).map(":".join),
+        # more points than the cap
+        st.tuples(st.floats(-1e3, 1e3), st.floats(1e-6, 1e-1))
+        .map(lambda t: f"{t[0]!r}:{t[1]!r}:{t[0] + t[1] * (MAX_SWEEP_POINTS + 5)!r}"),
+    ))
+    def test_invalid_rejected(self, text):
+        with pytest.raises(CliError):
+            powers(text)
 
 
 class TestGradcheck:
@@ -219,11 +358,61 @@ class TestAirMiRegions:
         assert contents[0] == contents[1]
 
 
+class TestConflictingInputs:
+    """A checkpoint run on a config whose channel (or, to warm-start, whose
+    layer plan) differs from the one it was trained with is refused."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, awgn_config):
+        out = tmp_path / "ckpt"
+        assert run_cli("train", "--config", awgn_config, "--power", "-3",
+                       "--batches", "2", "--out", out, "--seed", "3") == 0
+        return out / "ae_m4_p-3.00dbm.json"
+
+    def other_config(self, tmp_path, **blocks):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({**AWGN_CONFIG, **blocks}))
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ("ser", "--source", "{ckpt}", "--detector", "ae"),
+        ("ser", "--source", "{dir}", "--detector", "ml", "--power", "-3"),
+        ("mi", "--source", "{ckpt}"),
+        ("air", "--checkpoint", "{ckpt}"),
+        ("air", "--checkpoint", "{dir}", "--power", "-3"),
+        ("regions", "--source", "{ckpt}", "--detector", "ml"),
+        ("train", "--power", "-3", "--warm-start", "{ckpt}"),
+    ])
+    @pytest.mark.parametrize("channel", [{"gamma": 0.0, "segments": 10}, {}])
+    def test_other_channel_rejected(self, tmp_path, trained, argv, channel, capsys):
+        config = self.other_config(tmp_path, channel=channel)
+        argv = [a.format(ckpt=trained, dir=trained.parent) for a in argv]
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", config, "--out", out) == 1
+        assert "trained on" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == [] and list(out.glob("ae_*")) == []
+
+    @pytest.mark.parametrize("model", [
+        {"m": 4, "tx_hidden_layers": 2, "rx_hidden_layers": 1},
+        {"m": 4, "tx_hidden_layers": 1, "rx_hidden_layers": 1, "hidden_width": 8},
+        {"m": 8, "tx_hidden_layers": 1, "rx_hidden_layers": 1},
+    ])
+    def test_warm_start_other_layer_plan_rejected(self, tmp_path, trained, model, capsys):
+        config = self.other_config(tmp_path, model=model)
+        assert run_cli("train", "--config", config, "--power", "-2", "--batches", "2",
+                       "--warm-start", trained, "--out", tmp_path / "out") == 1
+        assert "layer plan" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(fiberae.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.run(
             [sys.executable, "-m", "fiberae", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "fiberae" in proc.stdout

@@ -11,10 +11,8 @@ from fiberae.likelihood import (
     Constellation,
     build_oracle,
     likelihood,
-    load_oracle_cache,
     ml_detect,
     mutual_information,
-    save_oracle_cache,
 )
 
 
@@ -237,20 +235,3 @@ class TestMutualInformation:
         mi = mutual_information(oracle, oracle.constellation, AWGN, 5000, seed=18)
         assert 0.0 <= mi <= 2.0 + 0.05
 
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        oracle = build_oracle(qpsk(1e-3), AWGN, samples_per_symbol=1000, seed=19)
-        path = tmp_path / "cache.json"
-        save_oracle_cache(oracle, path)
-        loaded = load_oracle_cache(path)
-        for a, b in zip(oracle.clouds, loaded.clouds):
-            assert np.array_equal(a, b)
-        for da, db in zip(oracle.densities, loaded.densities):
-            assert np.array_equal(da.grid, db.grid)
-
-    def test_malformed_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            load_oracle_cache(path)

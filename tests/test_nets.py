@@ -103,36 +103,31 @@ class TestBackward:
 
 class TestCrossEntropy:
     def test_uniform_sixteen(self):
-        one_hot = np.zeros(16)
-        one_hot[5] = 1.0
-        assert cross_entropy(one_hot, np.full(16, 1 / 16)) == pytest.approx(
-            2.772588722239781, rel=1e-12
-        )
+        loss, clamped = cross_entropy(np.full((1, 16), 1 / 16), np.array([5]))
+        assert loss == pytest.approx(2.772588722239781, rel=1e-12)
+        assert not clamped.any()
 
     def test_perfect_prediction(self):
-        one_hot = np.array([0.0, 1.0, 0.0])
-        post = np.array([0.0, 1.0, 0.0])
-        assert cross_entropy(one_hot, post) == 0.0
+        post = np.array([[0.0, 1.0, 0.0]])
+        assert cross_entropy(post, np.array([1]))[0] == 0.0
 
     def test_half(self):
-        one_hot = np.array([1.0, 0.0])
-        assert cross_entropy(one_hot, np.array([0.5, 0.5])) == pytest.approx(
-            0.6931471805599453, rel=1e-12
-        )
+        loss, _ = cross_entropy(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([0, 1]))
+        assert loss == pytest.approx(0.6931471805599453, rel=1e-12)
 
     def test_floor_clamps_zero_posterior(self):
-        one_hot = np.array([1.0, 0.0])
-        val = cross_entropy(one_hot, np.array([0.0, 1.0]))
-        assert val == pytest.approx(-math.log(1e-12), rel=1e-12)
+        loss, clamped = cross_entropy(np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([0, 1]))
+        assert loss == pytest.approx(-math.log(1e-12) / 2, rel=1e-12)
+        assert clamped.tolist() == [True, False]
 
     def test_nonnegative_random(self):
         rng = make_rng(5)
-        for _ in range(50):
-            p = rng.uniform(0.01, 1.0, size=8)
-            p /= p.sum()
-            one_hot = np.zeros(8)
-            one_hot[rng.integers(8)] = 1.0
-            assert cross_entropy(one_hot, p) >= 0.0
+        p = rng.uniform(0.01, 1.0, size=(50, 8))
+        p /= p.sum(axis=1, keepdims=True)
+        messages = rng.integers(8, size=50)
+        loss, _ = cross_entropy(p, messages)
+        assert loss >= 0.0
+        assert loss == pytest.approx(np.mean(-np.log(p[np.arange(50), messages])), rel=1e-12)
 
 
 class TestAdam:
