@@ -261,7 +261,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.batches < 1:
             raise ValueError("batch_size and batches must be positive")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ValueError("learning_rate must be >= 0")
 
 

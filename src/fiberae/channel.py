@@ -85,11 +85,11 @@ class ChannelParams:
     def __post_init__(self):
         if not self.link_length_km > 0:
             raise ValueError("link_length_km must be > 0")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be >= 0")
-        if self.noise_power_w < 0:
+        if not self.noise_power_w >= 0:
             raise ValueError("noise_power_w must be >= 0")
-        if self.segments < 1:
+        if not self.segments >= 1:
             raise ValueError("segments must be >= 1")
 
     @property

@@ -93,16 +93,17 @@ class RunConfig:
         return self.train.batch_size if self.train.batch_size is not None else 64 * self.model.m
 
     def validate(self) -> "RunConfig":
-        ch = self.channel
-        if ch.link_length_km <= 0 or ch.gamma < 0 or ch.segments < 1:
-            raise ConfigError("invalid channel block")
+        try:
+            self.channel.params()
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"invalid channel block: {exc}") from exc
         if self.model.m < 2:
             raise ConfigError("model.m must be at least 2")
         if self.model.tx_hidden_layers < 0 or self.model.rx_hidden_layers < 0:
             raise ConfigError("hidden layer counts must be nonnegative")
         if self.model.hidden_width is not None and self.model.hidden_width < 1:
             raise ConfigError("model.hidden_width must be positive")
-        if self.train.learning_rate < 0 or self.train.batches < 1:
+        if not self.train.learning_rate >= 0 or self.train.batches < 1:
             raise ConfigError("invalid train block")
         if self.batch_size() % self.model.m != 0:
             raise ConfigError("train.batch_size must be a multiple of model.m")
@@ -110,6 +111,8 @@ class RunConfig:
             raise ConfigError("invalid eval block")
         if self.eval.raster_resolution < 16:
             raise ConfigError("eval.raster_resolution must be at least 16")
+        if self.eval.raster_half_width is not None and not self.eval.raster_half_width > 0:
+            raise ConfigError("eval.raster_half_width must be positive")
         return self
 
 

@@ -1,15 +1,18 @@
 """Sampled per-symbol channel densities: ML detection and mutual information.
 
 The channel law p(y|x) has no closed form in this package; instead each
-constellation point gets a kernel density estimate built from S channel
-output samples.
+amplitude ring of the constellation (the points of exactly equal |x|) gets
+a kernel density estimate built from S channel output samples.
 
 Coordinates.  Rotating the input rotates the output law by the same angle,
-for any gamma and K, so each cloud is described by amplitude rho = |y| and
-phase offset psi = arg(y) - alpha, wrapped to [-pi, pi), where alpha is the
-direction of the cloud's centroid (the symbol's phase plus its mean
-nonlinear rotation).  Nonlinear phase noise makes psi grow with rho, so a
-crescent-shaped cloud becomes a tilted ellipse in (rho, psi).
+for any gamma and K, because the noise is circularly symmetric.  So each
+cloud is described by amplitude rho = |y| and phase offset psi = arg(y) -
+alpha, wrapped to [-pi, pi), where alpha is the direction of the cloud's
+centroid (the symbol's phase plus its mean nonlinear rotation), and one fit
+serves a whole ring: the other points of the ring take the same density
+with alpha turned by their phase difference from the fitted point.
+Nonlinear phase noise makes psi grow with rho, so a crescent-shaped cloud
+becomes a tilted ellipse in (rho, psi).
 
 Bandwidth.  The kernel is a full-covariance Gaussian in (rho, psi) with
 Silverman's d = 2 rule H = S^(-1/3) Sigma, Sigma the sample covariance of
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -101,7 +104,10 @@ class Constellation:
 
 @dataclass
 class _SymbolDensity:
-    """Gridded KDE of one symbol's output cloud in whitened polar coordinates."""
+    """Gridded KDE of one symbol's output law in whitened polar coordinates.
+
+    Symbols of one amplitude ring share the grid; only `alpha` differs.
+    """
 
     grid: np.ndarray  # (n_u1, n_u2) KDE of u at cell centers
     u0: tuple[float, float]  # u at cell (0, 0)
@@ -161,7 +167,6 @@ class LikelihoodOracle:
     params: ChannelParams
     samples_per_symbol: int
     seed: int
-    clouds: list[np.ndarray]
     densities: list[_SymbolDensity]
 
     @property
@@ -241,32 +246,42 @@ def build_oracle(
     seed: int = 0,
     threads: int = 1,
 ) -> LikelihoodOracle:
-    """Propagate S samples per symbol and fit the gridded KDEs.
+    """Propagate S samples per amplitude ring and fit the gridded KDEs.
 
-    Symbol i draws its noise from child i of the stream (seed, 1), which is
-    disjoint from the estimation stream (seed, 2) of `mutual_information`,
-    so the result is independent of `threads`.
+    Points of exactly equal amplitude form a ring, led by its lowest-index
+    symbol i: the lead's cloud is propagated from points[i] with noise from
+    child i of the stream (seed, 1), which is disjoint from the estimation
+    stream (seed, 2) of `mutual_information`.  Every other ring member j
+    shares the lead's density, rotated by angle(p_j) - angle(p_i); the
+    channel law is exactly rotation-symmetric, so this is the same estimate
+    a fit of j's own cloud would target.  A constellation whose amplitudes
+    are all distinct gets one fit per symbol.  The result is independent of
+    `threads`.
     """
     if samples_per_symbol < 1000:
         raise ValueError("need at least 1000 samples per symbol")
+    points = constellation.points
+    _, leads, ring_of = np.unique(np.abs(points), return_index=True, return_inverse=True)
 
-    def one_symbol(i: int):
-        x = np.full(samples_per_symbol, constellation.points[i])
-        cloud = propagate(x, params, make_rng((seed, 1), i))
-        return cloud, _fit_density(cloud)
+    def fit_ring(i: int) -> _SymbolDensity:
+        x = np.full(samples_per_symbol, points[i])
+        return _fit_density(propagate(x, params, make_rng((seed, 1), i)))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_symbol, range(constellation.m)))
+            fits = list(pool.map(fit_ring, leads))
     else:
-        results = [one_symbol(i) for i in range(constellation.m)]
+        fits = [fit_ring(i) for i in leads]
+    phase = np.angle(points)
+    turns = phase - phase[leads[ring_of]]  # exactly 0 for a lead
     return LikelihoodOracle(
         constellation=constellation,
         params=params,
         samples_per_symbol=samples_per_symbol,
         seed=seed,
-        clouds=[r[0] for r in results],
-        densities=[r[1] for r in results],
+        densities=[
+            replace(fits[r], alpha=fits[r].alpha + float(t)) for r, t in zip(ring_of, turns)
+        ],
     )
 
 

@@ -67,6 +67,9 @@ class TestParams:
             {"gamma": -0.1},
             {"noise_power_w": -1e-9},
             {"segments": 0},
+            {"link_length_km": math.nan},
+            {"gamma": math.nan},
+            {"noise_power_w": math.nan},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

@@ -135,6 +135,14 @@ class TestConfigProperties:
         with pytest.raises(ConfigError):
             _load_doc(doc)
 
+    @pytest.mark.parametrize("block, key", [
+        (name, f.name) for name, cls in _BLOCKS.items() for f in fields(cls) if "float" in f.type
+    ])
+    def test_nan_rejected(self, block, key):
+        # NaN passes a check written as x < 0 and then poisons every output
+        with pytest.raises(ConfigError):
+            _load_doc({block: {key: math.nan}})
+
     def test_channel_seed_key_rejected(self):
         # the channel block no longer has a seed: nothing read it
         with pytest.raises(ConfigError):

@@ -1,7 +1,10 @@
 """Package-level checks."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,3 +19,18 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"fiberae.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def test_every_traced_function_exists(monkeypatch):
+    # the benchmark's tracer silently skips a (module, function) it cannot
+    # find, so a renamed function would drop out of the per-layer figures
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{mod}.{fn}" for mod, fn, _ in spans.TRACED
+        if not callable(getattr(importlib.import_module(f"fiberae.{mod}"), fn, None))
+    ]
+    assert spans.TRACED and missing == []
