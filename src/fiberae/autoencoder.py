@@ -23,6 +23,7 @@ and held fixed per backward pass.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -60,7 +61,6 @@ __all__ = [
     "train",
     "batch_loss_and_grads",
     "model_parameters",
-    "set_model_parameters",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -87,16 +87,20 @@ class AutoencoderModel:
     input_power_w: float
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValueError("need at least two messages")
+        if type(self.m) is not int or self.m < 2:
+            raise ValueError("m must be an int >= 2")
         if self.tx.n_in != self.m or self.tx.n_out != 2:
             raise ValueError(f"transmitter must map {self.m} -> 2")
         if self.rx.n_in != 2 or self.rx.n_out != self.m:
             raise ValueError(f"receiver must map 2 -> {self.m}")
-        if not self.input_power_w > 0:
-            raise ValueError("input_power_w must be positive")
-        if not self.norm_scale > 0:
-            raise ValueError("norm_scale must be positive")
+        for name in ("input_power_w", "norm_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number")
+            # float() turns a huge JSON integer into an OverflowError
+            setattr(self, name, float(value))
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def build_model(
@@ -198,14 +202,8 @@ def detect(model: AutoencoderModel, y):
 
 
 def model_parameters(model: AutoencoderModel) -> list[np.ndarray]:
-    """Transmitter parameters followed by receiver parameters."""
+    """Transmitter parameters followed by receiver parameters (the live arrays)."""
     return model.tx.parameters() + model.rx.parameters()
-
-
-def set_model_parameters(model: AutoencoderModel, params: list[np.ndarray]) -> None:
-    n_tx = 2 * len(model.tx.layers)
-    model.tx.set_parameters(params[:n_tx])
-    model.rx.set_parameters(params[n_tx:])
 
 
 def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: np.ndarray):
@@ -285,8 +283,7 @@ def train(model: AutoencoderModel, config: TrainConfig) -> TrainResult:
         model.input_power_w = watts_from_dbm(config.power_dbm)
     messages = np.arange(config.batch_size) % model.m
     rng = make_rng(config.seed)
-    params = [p.copy() for p in model_parameters(model)]
-    set_model_parameters(model, params)
+    params = model_parameters(model)
     state = adam_init(params, learning_rate=config.learning_rate)
     losses = np.empty(config.batches)
     floor_hits = 0
@@ -297,8 +294,7 @@ def train(model: AutoencoderModel, config: TrainConfig) -> TrainResult:
             raise TrainingDivergedError(f"non-finite loss {loss} at batch {b}")
         losses[b] = loss
         floor_hits += hits
-        params, state = adam_step(state, params, grads)
-        set_model_parameters(model, params)
+        adam_step(state, params, grads)
     renormalize(model)
     return TrainResult(losses=losses, floor_hits=floor_hits)
 
@@ -377,6 +373,6 @@ def load_checkpoint(path) -> AutoencoderModel:
             params=_channel_from_dict(doc["channel"]),
             input_power_w=doc["input_power_w"],
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint contents in {path}: {exc}") from exc
     return model

@@ -9,6 +9,11 @@ and adds circularly-symmetric complex Gaussian noise:
 with n[k+1] ~ CN(0, P_N / K), i.e. each real component has variance
 P_N / (2K).  Dispersion is neglected, so samples never interact.
 
+One loop runs this recursion.  `propagate` feeds it noise drawn segment by
+segment and keeps nothing; `propagate_tape` feeds it the caller's noise and
+records every state and every rotation exp(j*L*gamma*|x[k]|^2/K), which
+`backprop_channel` reuses (conjugated) on the way back.
+
 Unit conventions: powers are stored in watts (user-facing dBm values are
 converted at the boundary), lengths in km, and the nonlinearity parameter
 in rad / (W * km), so L * gamma * |x|^2 is a phase in radians.
@@ -22,6 +27,7 @@ give bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,14 +89,15 @@ class ChannelParams:
     segments: int = 50
 
     def __post_init__(self):
-        if not self.link_length_km > 0:
-            raise ValueError("link_length_km must be > 0")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be >= 0")
-        if not self.noise_power_w >= 0:
-            raise ValueError("noise_power_w must be >= 0")
-        if not self.segments >= 1:
-            raise ValueError("segments must be >= 1")
+        # written so that NaN and infinity fail every check
+        if not 0 < self.link_length_km < math.inf:
+            raise ValueError("link_length_km must be finite and > 0")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 0")
+        if not 0 <= self.noise_power_w < math.inf:
+            raise ValueError("noise_power_w must be finite and >= 0")
+        if type(self.segments) is not int or self.segments < 1:
+            raise ValueError("segments must be an int >= 1")
 
     @property
     def phase_rate(self) -> float:
@@ -103,16 +110,17 @@ class PropagationTape:
     """Per-segment channel states recorded for exact backpropagation.
 
     states[k] is the sample entering segment k+1 (states[0] is the channel
-    input, states[K] the output); noise[k] is the noise added by segment
-    k+1.  The recursion states[k+1] = states[k]*exp(j*c*|states[k]|^2)
-    + noise[k], c = L*gamma/K, holds exactly (bit-level) by construction.
+    input, states[K] the output); rotations[k] = exp(j*c*|states[k]|^2),
+    c = L*gamma/K, is the phase factor segment k+1 applied, so that
+    states[k+1] = states[k]*rotations[k] + noise of segment k+1 holds
+    exactly (bit-level) by construction.
 
     Arrays have shape (K+1, ...) and (K, ...) where the trailing dimensions
     are whatever batch shape the input carried.
     """
 
     states: np.ndarray
-    noise: np.ndarray
+    rotations: np.ndarray
     params: ChannelParams
 
 
@@ -127,27 +135,45 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
     return scale * (z[:, 0] + 1j * z[:, 1])
 
 
+def _rotation(y: np.ndarray, c: float, rotations, k: int) -> np.ndarray:
+    """exp(j*c*|y|^2), also stored as rotations[k] when a tape is recorded."""
+    rot = np.exp(1j * c * (y.real**2 + y.imag**2))
+    if rotations is not None:
+        rotations[k] = rot
+    return rot
+
+
+def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
+    """y <- y * exp(j*c*|y|^2) + n for each segment's noise n, in order;
+    segment k's output goes to states[k+1] when a tape is recorded."""
+    for k, n in enumerate(noise):
+        # numpy evaluates y * <temporary> as <temporary> * y for arrays of
+        # 256 KiB and more, and a complex product is not bitwise commutative:
+        # an unnamed rotation keeps one operand order, tape or not
+        y = y * _rotation(y, c, rotations, k) + n
+        if states is not None:
+            states[k + 1] = y
+    return y
+
+
 def propagate(x, params: ChannelParams, rng: np.random.Generator):
     """Send samples through the channel with freshly drawn noise.
 
     `x` may be a complex scalar or a complex array; the result has the
-    same shape.  Noise is drawn segment by segment from `rng`.
+    same shape.  Noise is drawn segment by segment from `rng`; nothing is
+    recorded.
     """
     xs = np.asarray(x, dtype=complex)
-    scalar = xs.ndim == 0
-    y = np.atleast_1d(xs).copy()
-    c = params.phase_rate
+    shape = np.atleast_1d(xs).shape
     scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    for _ in range(params.segments):
-        y = y * np.exp(1j * c * (y.real**2 + y.imag**2))
-        re = rng.standard_normal(y.shape)
-        im = rng.standard_normal(y.shape)
-        y = y + scale * (re + 1j * im)
-    return complex(y[0]) if scalar else y
+    noise = (scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+             for _ in range(params.segments))
+    y = _recurse(np.atleast_1d(xs), params.phase_rate, noise)
+    return complex(y[0]) if xs.ndim == 0 else y
 
 
 def propagate_tape(x, noise: np.ndarray, params: ChannelParams):
-    """Propagate with caller-supplied noise, recording every state.
+    """Propagate with caller-supplied noise, recording every state and rotation.
 
     Deterministic given `noise` (shape (K, ...) matching the batch shape
     of `x`).  Returns (output, PropagationTape).
@@ -160,13 +186,11 @@ def propagate_tape(x, noise: np.ndarray, params: ChannelParams):
         )
     if noise.shape[1:] != xs.shape:
         raise ValueError(f"noise batch shape {noise.shape[1:]} != input shape {xs.shape}")
-    c = params.phase_rate
     states = np.empty((params.segments + 1,) + xs.shape, dtype=complex)
+    rotations = np.empty((params.segments,) + xs.shape, dtype=complex)
     states[0] = xs
-    for k in range(params.segments):
-        cur = states[k]
-        states[k + 1] = cur * np.exp(1j * c * (cur.real**2 + cur.imag**2)) + noise[k]
-    return states[-1].copy(), PropagationTape(states=states, noise=noise, params=params)
+    y = _recurse(xs, params.phase_rate, noise, states, rotations)
+    return y, PropagationTape(states=states, rotations=rotations, params=params)
 
 
 def backprop_channel(tape: PropagationTape, grad_output: np.ndarray) -> np.ndarray:
@@ -179,18 +203,15 @@ def backprop_channel(tape: PropagationTape, grad_output: np.ndarray) -> np.ndarr
         g_in = g_out * exp(-j t) + 2 c Im(g_out * conj(w)) * x
 
     where x is the segment input and w = x * exp(j t) the rotated value;
-    additive noise contributes identity.  Applying this from the last
-    segment to the first yields the exact reverse-mode gradient for the
-    fixed noise realization stored in the tape.
+    additive noise contributes identity.  exp(j t) is the rotation the tape
+    recorded, so exp(-j t) is its conjugate and nothing is recomputed.
+    Applying this from the last segment to the first yields the exact
+    reverse-mode gradient for the fixed noise realization of the tape.
     """
     g = np.asarray(grad_output, dtype=complex)
     if g.shape != tape.states.shape[1:]:
         g = np.broadcast_to(g, tape.states.shape[1:]).astype(complex)
-    g = g.copy()
     c = tape.params.phase_rate
-    for k in range(tape.noise.shape[0] - 1, -1, -1):
-        x = tape.states[k]
-        theta = c * (x.real**2 + x.imag**2)
-        w = x * np.exp(1j * theta)
-        g = g * np.exp(-1j * theta) + 2.0 * c * (g * np.conj(w)).imag * x
+    for x, rot in zip(tape.states[-2::-1], tape.rotations[::-1]):
+        g = g * np.conj(rot) + 2.0 * c * (g * np.conj(x * rot)).imag * x
     return g

@@ -4,13 +4,16 @@ A config file is a JSON document with up to five blocks (channel, model,
 train, eval, paths); every field is optional and missing ones take the
 defaults below, which reproduce the standard operating point (5000 km,
 gamma 1.27, noise -21.3 dBm, 50 segments, M=16).  Unknown blocks or keys
-are rejected so typos cannot silently change an experiment.
+are rejected so typos cannot silently change an experiment, and so is a
+value of the wrong type: a bool or 5.0 for an int field, or a non-finite
+number for a float field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 from fiberae.channel import ChannelParams, watts_from_dbm
@@ -125,15 +128,33 @@ _BLOCKS = {
 }
 
 
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a block field annotated `annotation`.
+
+    An int field takes only a JSON integer (no bool, no 4.0); a float field
+    takes any finite number.  Values are kept as given, never converted.
+    """
+    if value is None:
+        return annotation.endswith("| None")
+    kind = annotation.split(" |")[0]
+    if isinstance(value, bool):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, str)
+
+
 def _build_block(cls, data: dict, name: str):
     allowed = {f.name for f in fields(cls)}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {name} block: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"bad {name} block: {exc}") from exc
+    for f in fields(cls):
+        if f.name in data and not _fits(data[f.name], f.type):
+            raise ConfigError(f"{name}.{f.name}: {data[f.name]!r} is not a valid {f.type}")
+    return cls(**data)
 
 
 def load_config(path=None) -> RunConfig:

@@ -91,6 +91,10 @@ class Constellation:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("need at least two constellation points")
+        if not np.isfinite(pts).all():
+            raise ValueError("constellation points must be finite")
+        if not 0 < self.power_w < math.inf:
+            raise ValueError("power_w must be finite and > 0")
         mean_power = float(np.mean(np.abs(pts) ** 2))
         if abs(mean_power - self.power_w) > 1e-9 * self.power_w:
             raise ValueError(

@@ -10,16 +10,22 @@ The training loss is the cross-entropy of a one-hot target against a
 posterior, taken with the natural log (information rates elsewhere use
 log2).  Posteriors are floored at CROSS_ENTROPY_FLOOR so the loss stays
 finite; `cross_entropy` reports which rows hit the floor.
+
+Adam, with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON, updates the
+arrays of `DenseNetwork.parameters()` in place, where the network holds them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ACTIVATIONS",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
+    "ADAM_EPSILON",
     "CROSS_ENTROPY_FLOOR",
     "AdamState",
     "DenseLayer",
@@ -40,6 +46,11 @@ ACTIVATIONS = ("tanh", "sigmoid", "linear")
 
 # Floor applied to posteriors inside log(); keeps -log finite.
 CROSS_ENTROPY_FLOOR = 1e-12
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def _sigmoid(z):
@@ -126,16 +137,6 @@ class DenseNetwork:
             out.append(layer.biases)
         return out
 
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        if len(params) != 2 * len(self.layers):
-            raise ValueError("parameter list length mismatch")
-        for i, layer in enumerate(self.layers):
-            w, b = params[2 * i], params[2 * i + 1]
-            if w.shape != layer.weights.shape or b.shape != layer.biases.shape:
-                raise ValueError("parameter shape mismatch")
-            layer.weights = np.asarray(w, dtype=float)
-            layer.biases = np.asarray(b, dtype=float)
-
 
 def glorot_layer(n_in: int, n_out: int, activation: str, rng: np.random.Generator) -> DenseLayer:
     """Uniform Glorot initialization, zero biases."""
@@ -221,48 +222,36 @@ def cross_entropy(posteriors: np.ndarray, messages: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters; shaped like the parameter list."""
+    """Adam step count, learning rate and moments shaped like the parameter list."""
 
     step_count: int
     first_moment: list[np.ndarray]
     second_moment: list[np.ndarray]
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
-def adam_init(params: list[np.ndarray], learning_rate: float, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
     return AdamState(
         step_count=0,
         first_moment=[np.zeros_like(p) for p in params],
         second_moment=[np.zeros_like(p) for p in params],
         learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 
-def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]):
-    """One bias-corrected Adam update; pure (inputs are left untouched)."""
+def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    """One bias-corrected Adam update of `params` and of the state, in place."""
     if not (len(params) == len(grads) == len(state.first_moment)):
         raise ValueError("params/grads/state length mismatch")
-    t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    new_params, new_m, new_v = [], [], []
+    state.step_count += 1
+    c1 = 1.0 - ADAM_BETA1**state.step_count
+    c2 = 1.0 - ADAM_BETA2**state.step_count
     for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        m2 = b1 * m + (1.0 - b1) * g
-        v2 = b2 * v + (1.0 - b2) * g * g
-        step = state.learning_rate * (m2 / c1) / (np.sqrt(v2 / c2) + state.epsilon)
-        new_params.append(p - step)
-        new_m.append(m2)
-        new_v.append(v2)
-    new_state = replace(state, step_count=t, first_moment=new_m, second_moment=new_v)
-    return new_params, new_state
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
 
 def finite_difference_error(params: list[np.ndarray], analytic: list[np.ndarray],

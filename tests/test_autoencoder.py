@@ -2,10 +2,13 @@
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberae.autoencoder import (
     AutoencoderModel,
@@ -256,3 +259,68 @@ class TestCheckpoints:
         model = load_checkpoint(path)
         assert model.params == NLPN
         assert model.m == 16
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 4.0),
+        ("m", True),
+        ("norm_scale", math.inf),
+        ("norm_scale", "0.5"),
+        ("input_power_w", math.inf),
+        ("input_power_w", math.nan),
+        ("input_power_w", 10**400),
+    ])
+    def test_invalid_field_rejected(self, tmp_path, key, value):
+        path = tmp_path / "m.json"
+        save_checkpoint(build_model(4, AWGN, 1e-3, seed=25), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def _saved_checkpoint() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        save_checkpoint(build_model(4, NLPN, 1e-3, seed=26), path)
+        return json.loads(path.read_text())
+
+
+SAVED = _saved_checkpoint()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _near_misses(value) -> list:
+    """Edits of a saved field's value that random JSON seldom reaches."""
+    out = [None, True, math.inf, -math.inf, math.nan, str(value), [value]]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        out += [float(value), value + 0.5, -value, 0, 10**400]
+    if isinstance(value, dict):
+        out += [{k: v for k, v in value.items() if k != drop} for drop in value]
+    return out
+
+
+FIELD_EDITS = st.sampled_from(sorted(SAVED)).flatmap(
+    lambda key: st.tuples(st.just(key), JSON_VALUES | st.sampled_from(_near_misses(SAVED[key])))
+)
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(FIELD_EDITS)
+    def test_any_field_value_loads_or_is_rejected(self, edit):
+        key, value = edit
+        doc = dict(SAVED, **{key: value})
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.json"
+            path.write_text(json.dumps(doc))
+            try:
+                model = load_checkpoint(path)
+            except CheckpointError:
+                return
+        constellation_points(model)
+        detect(model, np.array([0.0, 0.01 + 0.02j]))

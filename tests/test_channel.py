@@ -70,6 +70,12 @@ class TestParams:
             {"link_length_km": math.nan},
             {"gamma": math.nan},
             {"noise_power_w": math.nan},
+            {"link_length_km": math.inf},
+            {"gamma": math.inf},
+            {"noise_power_w": math.inf},
+            {"segments": 5.0},
+            {"segments": True},
+            {"segments": "5"},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -176,6 +182,18 @@ class TestTape:
         y_tape, _ = propagate_tape(x, draw_noise(params, x.shape, make_rng(42)), params)
         assert np.array_equal(y, y_tape)
 
+    def test_tape_records_rotations(self):
+        params = ChannelParams(segments=12)
+        rng = make_rng(5)
+        x = 0.04 * (rng.standard_normal(9) + 1j * rng.standard_normal(9))
+        noise = draw_noise(params, x.shape, rng)
+        y, tape = propagate_tape(x, noise, params)
+        s = tape.states
+        c = params.phase_rate
+        assert np.array_equal(tape.rotations, np.exp(1j * c * (s[:-1].real**2 + s[:-1].imag**2)))
+        assert np.array_equal(s[1:], s[:-1] * tape.rotations + noise)
+        assert np.array_equal(s[0], x) and np.array_equal(s[-1], y)
+
     def test_segment_count_mismatch(self):
         params = ChannelParams(segments=5)
         with pytest.raises(ValueError):
@@ -191,6 +209,24 @@ class TestBackprop:
         _, tape = propagate_tape(x, noise, params)
         g = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         assert np.array_equal(backprop_channel(tape, g), g)
+
+    def test_matches_recomputed_formula_bit_for_bit(self):
+        # g_in = g*exp(-j theta) + 2c Im(g conj(w)) x with theta and w
+        # recomputed from the states, against the conjugated tape rotations
+        params = ChannelParams(segments=50)
+        rng = make_rng(4)
+        x = 0.04 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        _, tape = propagate_tape(x, draw_noise(params, x.shape, rng), params)
+        g = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        c = params.phase_rate
+        reference = g
+        for k in range(params.segments - 1, -1, -1):
+            s = tape.states[k]
+            theta = c * (s.real**2 + s.imag**2)
+            w = s * np.exp(1j * theta)
+            reference = reference * np.exp(-1j * theta) + 2.0 * c * (reference * np.conj(w)).imag * s
+        assert params.gamma > 0
+        assert np.array_equal(backprop_channel(tape, g), reference)
 
     def test_single_segment_against_finite_differences(self):
         params = ChannelParams(segments=1, noise_power_w=0.0)

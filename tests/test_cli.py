@@ -117,6 +117,14 @@ def _load_doc(doc):
         return load_config(path)
 
 
+INT_FIELDS = [
+    (name, f.name) for name, cls in _BLOCKS.items() for f in fields(cls) if f.type.startswith("int")
+]
+FLOAT_FIELDS = [
+    (name, f.name) for name, cls in _BLOCKS.items() for f in fields(cls) if "float" in f.type
+]
+
+
 class TestConfigProperties:
     @settings(max_examples=60, deadline=None)
     @given(_config_docs())
@@ -135,13 +143,39 @@ class TestConfigProperties:
         with pytest.raises(ConfigError):
             _load_doc(doc)
 
-    @pytest.mark.parametrize("block, key", [
-        (name, f.name) for name, cls in _BLOCKS.items() for f in fields(cls) if "float" in f.type
-    ])
+    @pytest.mark.parametrize("block, key", FLOAT_FIELDS)
     def test_nan_rejected(self, block, key):
         # NaN passes a check written as x < 0 and then poisons every output
         with pytest.raises(ConfigError):
             _load_doc({block: {key: math.nan}})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("block, key", FLOAT_FIELDS)
+    def test_infinity_rejected(self, block, key, value):
+        # json reads Infinity; an infinite gamma made every output NaN
+        with pytest.raises(ConfigError):
+            _load_doc({block: {key: value}})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(INT_FIELDS), st.one_of(
+        st.booleans(), st.floats(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+        st.integers(-10**6, 10**6).map(float),
+    ))
+    def test_int_field_takes_only_ints(self, field, value):
+        # 5.0 or true in an int field ended in a TypeError or ran with K = 1
+        block, key = field
+        with pytest.raises(ConfigError):
+            _load_doc({block: {key: value}})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(INT_FIELDS), st.integers(-10**6, 10**6))
+    def test_int_field_int_loads_or_is_rejected(self, field, value):
+        block, key = field
+        try:
+            config = _load_doc({block: {key: value}})
+        except ConfigError:
+            return
+        assert getattr(getattr(config, block), key) == value
 
     def test_channel_seed_key_rejected(self):
         # the channel block no longer has a seed: nothing read it

@@ -57,6 +57,17 @@ class TestConstellation:
         with pytest.raises(ValueError):
             Constellation(points=np.array([1 + 0j, -1 + 0j]), power_w=2.0)
 
+    @pytest.mark.parametrize("points, power_w", [
+        ([math.nan, 1.0], 1.0),
+        ([1.0, -1.0], math.nan),
+        ([math.inf, 1.0], math.inf),
+        ([1.0, -1.0], 0.0),
+    ])
+    def test_non_finite_rejected(self, points, power_w):
+        # the power check compares against NaN, so these all passed it
+        with pytest.raises(ValueError):
+            Constellation(points=np.array(points, dtype=complex), power_w=power_w)
+
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
             Constellation(points=np.array([1 + 0j]), power_w=1.0)

@@ -7,7 +7,9 @@ import pytest
 
 from fiberae.channel import make_rng
 from fiberae.nets import (
-    AdamState,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     DenseLayer,
     DenseNetwork,
     adam_init,
@@ -136,9 +138,10 @@ class TestAdam:
 
     def test_zero_gradient_no_change(self):
         params = self._params(make_rng(6))
+        before = [p.copy() for p in params]
         state = adam_init(params, learning_rate=0.01)
-        new_params, _ = adam_step(state, params, [np.zeros_like(p) for p in params])
-        for p, q in zip(params, new_params):
+        adam_step(state, params, [np.zeros_like(p) for p in params])
+        for p, q in zip(before, params):
             assert np.array_equal(p, q)
 
     def test_first_step_magnitude(self):
@@ -146,28 +149,44 @@ class TestAdam:
         params = [np.zeros(4)]
         state = adam_init(params, learning_rate=1e-3)
         g = np.array([5.0, -2.0, 0.1, 100.0])
-        new_params, _ = adam_step(state, params, [g])
-        assert np.allclose(np.abs(new_params[0]), 1e-3, rtol=1e-5)
-        assert np.all(np.sign(new_params[0]) == -np.sign(g))
+        adam_step(state, params, [g])
+        assert np.allclose(np.abs(params[0]), 1e-3, rtol=1e-5)
+        assert np.all(np.sign(params[0]) == -np.sign(g))
 
-    def test_purity(self):
-        rng = make_rng(7)
+    def test_three_steps_match_closed_form(self):
+        # the in-place update against Kingma & Ba's bias-corrected formulas,
+        # written out with fresh arrays at every step
+        rng = make_rng(12)
         params = self._params(rng)
-        grads = [rng.standard_normal(p.shape) for p in params]
-        state = adam_init(params, learning_rate=0.01)
-        out1 = adam_step(state, params, grads)
-        out2 = adam_step(state, params, grads)
-        for a, b in zip(out1[0], out2[0]):
-            assert np.array_equal(a, b)
-        assert out1[1].step_count == out2[1].step_count == 1
+        lr = 0.01
+        p_ref = [p.copy() for p in params]
+        m_ref = [np.zeros_like(p) for p in params]
+        v_ref = [np.zeros_like(p) for p in params]
+        state = adam_init(params, learning_rate=lr)
+        live = [id(p) for p in params]
+        for t in range(1, 4):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            adam_step(state, params, grads)
+            for i, g in enumerate(grads):
+                m_ref[i] = ADAM_BETA1 * m_ref[i] + (1.0 - ADAM_BETA1) * g
+                v_ref[i] = ADAM_BETA2 * v_ref[i] + (1.0 - ADAM_BETA2) * g * g
+                m_hat = m_ref[i] / (1.0 - ADAM_BETA1**t)
+                v_hat = v_ref[i] / (1.0 - ADAM_BETA2**t)
+                p_ref[i] = p_ref[i] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+            assert state.step_count == t
+            for got, want in zip(params + state.first_moment + state.second_moment,
+                                 p_ref + m_ref + v_ref):
+                assert np.array_equal(got, want)
+        assert [id(p) for p in params] == live
 
     def test_lr_zero_is_identity(self):
         rng = make_rng(8)
         params = self._params(rng)
+        before = [p.copy() for p in params]
         grads = [rng.standard_normal(p.shape) for p in params]
         state = adam_init(params, learning_rate=0.0)
-        new_params, _ = adam_step(state, params, grads)
-        for p, q in zip(params, new_params):
+        adam_step(state, params, grads)
+        for p, q in zip(before, params):
             assert np.array_equal(p, q)
 
 

@@ -2,13 +2,17 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import fiberae
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # __main__ runs the command line on import
 MODULES = [m.name for m in pkgutil.iter_modules(fiberae.__path__) if m.name != "__main__"]
@@ -34,3 +38,13 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fiberae.{mod}"), fn, None))
     ]
     assert spans.TRACED and missing == []
+
+
+@pytest.mark.parametrize("demo", ["01_channel_tour.py", "03_ml_detection_and_regions.py"])
+def test_demo_runs(demo, tmp_path):
+    # both call the channel API directly, a scalar propagate included
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stderr
