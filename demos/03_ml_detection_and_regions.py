@@ -1,14 +1,15 @@
 """
-Sampled-likelihood ML detection and decision regions
-====================================================
+Exact-likelihood ML detection and decision regions
+==================================================
 
-The channel law has no closed form here, so the maximum-likelihood detector
-is built from data: propagate many samples per symbol, fit a kernel density
-per cloud, and decide by the largest estimated likelihood.
+The maximum-likelihood detector decides by the exact law of the simulated
+channel: each symbol's output density is an angular Fourier series whose
+modes follow a short recursion over the fiber segments, so no sample is
+drawn to build it.
 
 On this channel a naive minimum-distance rule ignores the deterministic
-intensity-dependent rotation and falls apart as power grows; the sampled
-ML detector tracks the crescent-shaped clouds.
+intensity-dependent rotation and falls apart as power grows; the ML
+detector tracks the crescent-shaped clouds.
 
 Run:  python3 demos/03_ml_detection_and_regions.py
 """
@@ -28,11 +29,11 @@ from fiberae.likelihood import build_oracle
 
 params = ChannelParams()
 
-print("16-QAM on the nonlinear channel: min-distance vs sampled ML")
+print("16-QAM on the nonlinear channel: min-distance vs ML")
 print(f"{'power':>8} {'SER mindist':>12} {'SER ML':>10}")
 for p_dbm in (-10.0, -5.0, -2.0, 0.0):
     const = qam(16, watts_from_dbm(p_dbm))
-    oracle = build_oracle(const, params, samples_per_symbol=20_000, seed=1, threads=2)
+    oracle = build_oracle(const, params)
     s_md = ser(const, min_distance_detector(const), params, 50_000, seed=2)
     s_ml = ser(const, ml_oracle_detector(oracle), params, 50_000, seed=2)
     print(f"{p_dbm:+8.1f} {s_md:12.4f} {s_ml:10.4f}")
@@ -40,7 +41,7 @@ for p_dbm in (-10.0, -5.0, -2.0, 0.0):
 # rasterize the ML decision regions at 0 dBm
 p_in = watts_from_dbm(0.0)
 const = qam(16, p_in)
-oracle = build_oracle(const, params, samples_per_symbol=20_000, seed=3, threads=2)
+oracle = build_oracle(const, params)
 spec = RasterSpec(center=0j, half_width=3.0 * np.sqrt(p_in), resolution=120)
 grid = decision_regions(ml_oracle_detector(oracle), spec)
 

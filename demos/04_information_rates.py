@@ -4,8 +4,8 @@ Information rates: what the channel supports vs what the decoder achieves
 
 Two quantities bracket a system's throughput in bits per channel use:
 
-* the mutual information of a constellation, estimated by Monte Carlo from
-  the sampled channel densities, and
+* the mutual information of a constellation, estimated by Monte Carlo
+  under the channel's exact densities, and
 * the achievable information rate (AIR) of a trained decoder, which is the
   mismatched-decoding lower bound log2 M + E[log2 f_y(true message)].
 
@@ -29,10 +29,10 @@ from fiberae.likelihood import Constellation, build_oracle, mutual_information
 
 params = ChannelParams()
 
-print("16-QAM mutual information vs input power (sampled-density estimate):")
+print("16-QAM mutual information vs input power (Monte Carlo, exact densities):")
 for p_dbm in (-10.0, -5.0, -2.0, 0.0, 5.0):
     const = qam(16, watts_from_dbm(p_dbm))
-    oracle = build_oracle(const, params, samples_per_symbol=20_000, seed=11, threads=2)
+    oracle = build_oracle(const, params)
     mi = mutual_information(oracle, const, params, 50_000, seed=12)
     print(f"  {p_dbm:+6.1f} dBm: {mi:.3f} bpcu  (max log2 16 = 4)")
 
@@ -44,7 +44,7 @@ else:
     p_dbm = dbm_from_watts(model.input_power_w)
     value = air(model, 50_000, seed=13)
     const = Constellation(points=constellation_points(model), power_w=model.input_power_w)
-    oracle = build_oracle(const, params, samples_per_symbol=20_000, seed=14, threads=2)
+    oracle = build_oracle(const, params)
     mi = mutual_information(oracle, const, params, 50_000, seed=15)
     print(f"\ntrained model at {p_dbm:+.1f} dBm:")
     print(f"  decoder AIR          = {value:.3f} bpcu")

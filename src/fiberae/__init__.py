@@ -8,9 +8,9 @@ The package provides, as plain numpy code:
                       cross-entropy, Adam, gradient checking),
 * ``autoencoder``  -- the trainable transmitter/channel/receiver stack with
                       power normalization and checkpointing,
-* ``likelihood``   -- sampled per-symbol densities standing in for the
-                      channel law, maximum-likelihood detection, and mutual
-                      information estimation,
+* ``likelihood``   -- the channel's exact per-symbol densities,
+                      maximum-likelihood detection, and mutual information
+                      estimation,
 * ``evaluation``   -- QAM baselines, symbol-error-rate and information-rate
                       measurement, decision-region rasters, power sweeps,
 * ``gradcheck``    -- finite-difference verification of every gradient path,

@@ -153,6 +153,9 @@ def _resolve_source(args, config: RunConfig):
     file is loaded once and defaults to its own trained power.
     """
     powers = _parse_powers(args)
+    # the exact oracle reads no --oracle-samples; it is checked as when it did
+    if args.detector == "ml" and args.oracle_samples and args.oracle_samples < 1000:
+        raise CliError("need at least 1000 samples per symbol")
     if args.source == "qam":
         if args.detector == "ae":
             raise CliError("the ae detector needs a checkpoint source, not qam")
@@ -248,7 +251,6 @@ def cmd_sweep(args) -> int:
         args.samples or config.eval.n_samples,
         seed,
         detector=args.detector,
-        oracle_samples=args.oracle_samples or config.eval.oracle_samples,
         threads=args.threads,
     )
     extra = _overlay_rows(args.overlay) if args.overlay else ()
@@ -292,10 +294,7 @@ def cmd_regions(args) -> int:
     seed = args.seed if args.seed is not None else config.eval.seed
     powers, source_fn, _ = _resolve_source(args, config)
     power = powers[0]
-    detector = detector_for(
-        args.detector, source_fn(power), config.channel.params(),
-        args.oracle_samples or config.eval.oracle_samples, seed, threads=args.threads,
-    )
+    detector = detector_for(args.detector, source_fn(power), config.channel.params())
 
     half_width = args.half_width or config.eval.raster_half_width
     if half_width is None:
@@ -398,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file/directory")
     p.add_argument("--detector", choices=("mindist", "ml", "ae"), default="mindist")
     _add_sweep(p)
-    p.add_argument("--oracle-samples", type=int, help="KDE samples per symbol")
+    p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
 
     p = sub.add_parser("air", help="decoder information rate of trained models")
     _add_common(p)
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file/directory")
     _add_sweep(p)
-    p.add_argument("--oracle-samples", type=int, help="KDE samples per symbol")
+    p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
     p.set_defaults(detector="ml")
 
     p = sub.add_parser("regions", help="decision-region raster")
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--center", help="window center as re,im (default 0,0)")
     p.add_argument("--half-width", type=float, help="window half width in sqrt(W)")
     p.add_argument("--resolution", type=int)
-    p.add_argument("--oracle-samples", type=int)
+    p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
     p.add_argument("--ppm", action="store_true", help="also write a portable pixmap")
     p.set_defaults(func=cmd_regions)
 
@@ -445,7 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, TrainingDivergedError) as exc:
+    except (ValueError, OSError, MemoryError, TrainingDivergedError) as exc:
         # CliError, ConfigError and CheckpointError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -72,7 +72,7 @@ class TrainBlock:
 @dataclass
 class EvalBlock:
     n_samples: int = 100_000
-    oracle_samples: int = 100_000
+    oracle_samples: int = 100_000  # unused: the oracle is exact; still checked >= 1000
     seed: int = 200
     raster_resolution: int = 200
     raster_half_width: float | None = None  # defaults to 3 * sqrt(P_in)

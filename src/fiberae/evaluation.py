@@ -1,7 +1,7 @@
 """Experiment layer: baselines, error rates, information rates, rasters.
 
 Detectors are plain callables mapping a complex sample array to integer
-message indices, so autoencoder decisions, sampled-likelihood ML decisions,
+message indices, so autoencoder decisions, exact-likelihood ML decisions,
 and minimum-distance decisions all plug into the same measurement code.
 
 All Monte Carlo here uses balanced message draws for error rates and
@@ -39,7 +39,6 @@ __all__ = [
     "air",
     "air_from_posterior_mass",
     "decision_regions",
-    "output_radius",
     "sweep",
 ]
 
@@ -141,21 +140,18 @@ def ml_oracle_detector(oracle: LikelihoodOracle):
     return detector
 
 
-def detector_for(kind: str, source, params: ChannelParams, oracle_samples: int,
-                 seed: int, threads: int = 1):
+def detector_for(kind: str, source, params: ChannelParams):
     """Detector of the given kind ("mindist", "ml" or "ae") for a source.
 
-    "ml" builds a sampled-likelihood oracle from `oracle_samples` outputs per
-    symbol, seeded by `seed`; "ae" needs a trained model as the source.
+    "ml" decides on the channel's exact law; "ae" needs a trained model as
+    the source.
     """
     if kind == "mindist":
         return min_distance_detector(_as_constellation(source))
     if kind == "ae":
         return ae_detector(source)
     if kind == "ml":
-        oracle = build_oracle(_as_constellation(source), params, oracle_samples, seed,
-                              threads=threads)
-        return ml_oracle_detector(oracle)
+        return ml_oracle_detector(build_oracle(_as_constellation(source), params))
     raise ValueError(f"unknown detector {kind!r}")
 
 
@@ -201,15 +197,6 @@ def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
     return labels.reshape(mesh.shape).astype(int)
 
 
-def output_radius(source, params: ChannelParams, n_samples: int = 100_000,
-                  seed: int = 0, quantile: float = 0.99) -> float:
-    """Radius containing the given fraction of channel output magnitude."""
-    points = _as_constellation(source).points
-    msgs = np.arange(n_samples) % points.size
-    y = propagate(points[msgs], params, make_rng(seed))
-    return float(np.quantile(np.abs(y), quantile))
-
-
 def sweep(
     powers_dbm,
     metric: str,
@@ -218,14 +205,13 @@ def sweep(
     n_samples: int,
     seed: int,
     detector: str = "mindist",
-    oracle_samples: int = 100_000,
     threads: int = 1,
 ) -> list[SweepResult]:
     """Evaluate one metric over a list of input powers.
 
     `source_fn(power_dbm)` supplies the constellation or model for each
     power.  metric is one of "ser", "air", "mi"; for "ser" `detector`
-    selects "mindist", "ml" (sampled-likelihood oracle), or "ae".  Per-power
+    selects "mindist", "ml" (exact-likelihood oracle), or "ae".  Per-power
     randomness derives from (seed, power index), so results are
     deterministic and independent of thread count.
     """
@@ -239,9 +225,8 @@ def sweep(
         i, p_dbm = item
         source = source_fn(p_dbm)
         eval_seed = derived_seed(seed, i, 0)
-        build_seed = derived_seed(seed, i, 1)
         if metric == "ser":
-            det = detector_for(detector, source, params, oracle_samples, build_seed)
+            det = detector_for(detector, source, params)
             value = ser(source, det, params, n_samples, eval_seed)
         elif metric == "air":
             if not isinstance(source, AutoencoderModel):
@@ -249,7 +234,7 @@ def sweep(
             value = air(source, n_samples, eval_seed)
         else:
             const = _as_constellation(source)
-            oracle = build_oracle(const, params, oracle_samples, build_seed)
+            oracle = build_oracle(const, params)
             value = mutual_information(oracle, const, params, n_samples, eval_seed)
         return SweepResult(
             power_dbm=float(p_dbm), metric=metric, value=value,

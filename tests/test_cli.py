@@ -459,6 +459,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "fiberae" in proc.stdout
 
+    def test_unallocatable_sample_count_fails_cleanly(self, tmp_path, capsys):
+        # 10^17 samples ask numpy for 711 PiB, more than any address space
+        # holds, so the request fails at once under every overcommit policy
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"eval": {"n_samples": 10**17}}))
+        assert run_cli("ser", "--config", config, "--source", "qam", "--power", "0",
+                       "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         assert run_cli("export-constellation", "--checkpoint",
                        tmp_path / "nope.json", "--out", tmp_path) == 1

@@ -15,7 +15,6 @@ from fiberae.evaluation import (
     air_from_posterior_mass,
     decision_regions,
     min_distance_detector,
-    output_radius,
     qam,
     ser,
     sweep,
@@ -157,20 +156,6 @@ class TestDecisionRegions:
             RasterSpec(half_width=1.0, resolution=8)
         with pytest.raises(ValueError):
             RasterSpec(half_width=0.0, resolution=32)
-
-
-class TestOutputRadius:
-    def test_noiseless_radius_is_max_point(self):
-        const = qam(16, 1e-3)
-        params = ChannelParams(gamma=0.0, noise_power_w=0.0)
-        r = output_radius(const, params, n_samples=16_000, seed=0)
-        assert r == pytest.approx(float(np.abs(const.points).max()), rel=1e-9)
-
-    def test_radius_grows_with_noise(self):
-        const = qam(16, 1e-3)
-        r0 = output_radius(const, ChannelParams(gamma=0.0, noise_power_w=0.0), 16_000, seed=0)
-        r1 = output_radius(const, AWGN, 16_000, seed=0)
-        assert r1 > r0
 
 
 class TestSweep:

@@ -40,9 +40,12 @@ def test_every_traced_function_exists(monkeypatch):
     assert spans.TRACED and missing == []
 
 
-@pytest.mark.parametrize("demo", ["01_channel_tour.py", "03_ml_detection_and_regions.py"])
+@pytest.mark.parametrize("demo", [
+    "01_channel_tour.py", "03_ml_detection_and_regions.py", "04_information_rates.py",
+])
 def test_demo_runs(demo, tmp_path):
-    # both call the channel API directly, a scalar propagate included
+    # each calls the library directly; 04 finds no checkpoint in its fresh
+    # directory and skips the decoder part
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
