@@ -17,15 +17,7 @@ Run:  python3 demos/03_ml_detection_and_regions.py
 import numpy as np
 
 from fiberae.channel import ChannelParams, watts_from_dbm
-from fiberae.evaluation import (
-    RasterSpec,
-    decision_regions,
-    min_distance_detector,
-    ml_oracle_detector,
-    qam,
-    ser,
-)
-from fiberae.likelihood import build_oracle
+from fiberae.evaluation import RasterSpec, decision_regions, detector_for, qam, ser
 
 params = ChannelParams()
 
@@ -33,17 +25,15 @@ print("16-QAM on the nonlinear channel: min-distance vs ML")
 print(f"{'power':>8} {'SER mindist':>12} {'SER ML':>10}")
 for p_dbm in (-10.0, -5.0, -2.0, 0.0):
     const = qam(16, watts_from_dbm(p_dbm))
-    oracle = build_oracle(const, params)
-    s_md = ser(const, min_distance_detector(const), params, 50_000, seed=2)
-    s_ml = ser(const, ml_oracle_detector(oracle), params, 50_000, seed=2)
+    s_md = ser(const, detector_for("mindist", const, params), params, 50_000, seed=2)
+    s_ml = ser(const, detector_for("ml", const, params), params, 50_000, seed=2)
     print(f"{p_dbm:+8.1f} {s_md:12.4f} {s_ml:10.4f}")
 
 # rasterize the ML decision regions at 0 dBm
 p_in = watts_from_dbm(0.0)
 const = qam(16, p_in)
-oracle = build_oracle(const, params)
 spec = RasterSpec(center=0j, half_width=3.0 * np.sqrt(p_in), resolution=120)
-grid = decision_regions(ml_oracle_detector(oracle), spec)
+grid = decision_regions(detector_for("ml", const, params), spec)
 
 with open("demo_ml_regions.txt", "w") as fh:
     fh.write(f"{spec.resolution}\n")

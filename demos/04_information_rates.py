@@ -33,7 +33,7 @@ print("16-QAM mutual information vs input power (Monte Carlo, exact densities):"
 for p_dbm in (-10.0, -5.0, -2.0, 0.0, 5.0):
     const = qam(16, watts_from_dbm(p_dbm))
     oracle = build_oracle(const, params)
-    mi = mutual_information(oracle, const, params, 50_000, seed=12)
+    mi = mutual_information(oracle, 50_000, seed=12)
     print(f"  {p_dbm:+6.1f} dBm: {mi:.3f} bpcu  (max log2 16 = 4)")
 
 if not os.path.exists("demo_checkpoint.json"):
@@ -44,8 +44,9 @@ else:
     p_dbm = dbm_from_watts(model.input_power_w)
     value = air(model, 50_000, seed=13)
     const = Constellation(points=constellation_points(model), power_w=model.input_power_w)
-    oracle = build_oracle(const, params)
-    mi = mutual_information(oracle, const, params, 50_000, seed=15)
+    # the channel the model was trained on, which need not be the default
+    oracle = build_oracle(const, model.params)
+    mi = mutual_information(oracle, 50_000, seed=15)
     print(f"\ntrained model at {p_dbm:+.1f} dBm:")
     print(f"  decoder AIR          = {value:.3f} bpcu")
     print(f"  constellation MI     = {mi:.3f} bpcu (upper-bounds the AIR)")

@@ -76,12 +76,15 @@ def checkpoint_name(m: int, power_dbm: float) -> str:
     return f"ae_m{m}_p{power_dbm:+.2f}dbm.json"
 
 
-def _header(config: RunConfig, seed: int) -> list[str]:
-    return [
-        f"# fiberae {__version__}",
-        f"# config-hash: {config_hash(config)}",
-        f"# seed: {seed}",
-    ]
+def _setup(args, out_field: str) -> tuple[RunConfig, Path]:
+    """The run's config and output directory, with the config echoed there.
+
+    out_field names the `paths` entry used when --out is not given.
+    """
+    config = load_config(args.config)
+    out_dir = Path(args.out or getattr(config.paths, out_field))
+    _echo_config(out_dir, config)
+    return config, out_dir
 
 
 def _echo_config(out_dir: Path, config: RunConfig) -> None:
@@ -89,26 +92,14 @@ def _echo_config(out_dir: Path, config: RunConfig) -> None:
     (out_dir / "resolved_config.json").write_text(resolved_json(config))
 
 
-def _write_results_csv(path: Path, config: RunConfig, seed: int, rows, extra_rows=()) -> None:
-    lines = _header(config, seed)
-    lines.append("power_dbm,metric,value,n_samples,seed")
-    for r in rows:
-        lines.append(f"{r.power_dbm},{r.metric},{r.value},{r.n_samples},{r.seed}")
-    for raw in extra_rows:
-        lines.append(raw)
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_raster(path: Path, config: RunConfig, seed: int, spec: RasterSpec, grid) -> None:
-    lines = _header(config, seed)
-    lines.append(
-        f"# window: center={spec.center.real},{spec.center.imag} "
-        f"half_width={spec.half_width} (rows run along ascending imaginary part)"
-    )
-    lines.append(str(spec.resolution))
-    for row in grid:
-        lines.append(" ".join(str(int(v)) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_text(path: Path, config: RunConfig, seed: int, lines: list[str]) -> None:
+    """Header comments (tool version, config hash, seed), then the lines."""
+    header = [
+        f"# fiberae {__version__}",
+        f"# config-hash: {config_hash(config)}",
+        f"# seed: {seed}",
+    ]
+    path.write_text("\n".join(header + lines) + "\n")
 
 
 def _write_ppm(path: Path, grid, m: int) -> None:
@@ -146,45 +137,44 @@ def _checkpoint_on_channel(path: Path, config: RunConfig) -> AutoencoderModel:
     return model
 
 
-def _resolve_source(args, config: RunConfig):
-    """(powers, per-power source function, output tag) of 'qam' or a checkpoint.
+def _trained_at(model: AutoencoderModel, path: Path, p_dbm: float) -> AutoencoderModel:
+    """The model, if it was trained at p_dbm: a sweep never relabels one."""
+    trained = dbm_from_watts(model.input_power_w)
+    if abs(trained - p_dbm) > 1e-6:
+        raise CliError(
+            f"checkpoint {path} was trained at {trained:.2f} dBm, not {p_dbm} dBm; "
+            f"a sweep needs one checkpoint per power"
+        )
+    return model
+
+
+def _resolve_sources(args, config: RunConfig) -> list[tuple[float, object]]:
+    """(power_dbm, source) pairs of 'qam' or a checkpoint, every file loaded.
 
     A checkpoint directory holds one file per power; a single checkpoint
-    file is loaded once and defaults to its own trained power.
+    file is loaded once and serves only its own trained power, its default.
     """
     powers = _parse_powers(args)
     # the exact oracle reads no --oracle-samples; it is checked as when it did
     if args.detector == "ml" and args.oracle_samples and args.oracle_samples < 1000:
         raise CliError("need at least 1000 samples per symbol")
+    source = Path(args.source)
     if args.source == "qam":
         if args.detector == "ae":
             raise CliError("the ae detector needs a checkpoint source, not qam")
-
-        def source_fn(p_dbm: float):
-            return qam(config.model.m, watts_from_dbm(p_dbm))
-
-    elif Path(args.source).is_dir():
-
-        def source_fn(p_dbm: float):
-            path = Path(args.source) / checkpoint_name(config.model.m, p_dbm)
-            return _checkpoint_on_channel(path, config)
-
+        pairs = [(p, qam(config.model.m, watts_from_dbm(p))) for p in powers]
+    elif source.is_dir():
+        pairs = []
+        for p in powers:
+            path = source / checkpoint_name(config.model.m, p)
+            pairs.append((p, _trained_at(_checkpoint_on_channel(path, config), path, p)))
     else:
-        model = _checkpoint_on_channel(Path(args.source), config)
-        trained = dbm_from_watts(model.input_power_w)
-        powers = powers or [round(trained, 10)]
-
-        def source_fn(p_dbm: float):
-            if abs(trained - p_dbm) > 1e-6:
-                raise CliError(
-                    f"checkpoint {args.source} was trained at {trained:.2f} dBm, not "
-                    f"{p_dbm} dBm; pass a checkpoint directory for sweeps"
-                )
-            return model
-
-    if not powers:
-        raise CliError("need --power or --powers")
-    return powers, source_fn, "qam" if args.source == "qam" else "ae-const"
+        model = _checkpoint_on_channel(source, config)
+        default = round(dbm_from_watts(model.input_power_w), 10)
+        pairs = [(p, _trained_at(model, source, p)) for p in powers or [default]]
+    if not pairs:
+        raise CliError("need an input power (--power; ser, mi and air also take --powers)")
+    return pairs
 
 
 def _layer_plan(model: AutoencoderModel) -> list:
@@ -196,9 +186,7 @@ def _layer_plan(model: AutoencoderModel) -> list:
 
 
 def cmd_train(args) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.checkpoints)
-    _echo_config(out_dir, config)
+    config, out_dir = _setup(args, "checkpoints")
     seed = args.seed if args.seed is not None else config.train.seed
     power = float(args.power)
     # the config's model; a warm start must match its layer plan
@@ -228,9 +216,8 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / checkpoint_name(config.model.m, power)
     save_checkpoint(model, ckpt_path, train_config)
     trace_path = out_dir / f"train_loss_m{config.model.m}_p{power:+.2f}dbm.csv"
-    lines = _header(config, seed) + ["batch,loss"]
-    lines += [f"{i},{v}" for i, v in enumerate(result.losses)]
-    trace_path.write_text("\n".join(lines) + "\n")
+    losses = [f"{i},{v}" for i, v in enumerate(result.losses)]
+    _write_text(trace_path, config, seed, ["batch,loss", *losses])
     print(f"trained {ckpt_path} (final loss {result.losses[-1]:.6g}, "
           f"posterior floor hits {result.floor_hits})")
     return 0
@@ -238,25 +225,25 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     """ser, mi and air: one metric over input powers, one CSV row per power."""
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.outputs)
-    _echo_config(out_dir, config)
-    powers, source_fn, tag = _resolve_source(args, config)
+    config, out_dir = _setup(args, "outputs")
+    sources = _resolve_sources(args, config)
+    extra = _overlay_rows(args.overlay) if args.overlay else []
     seed = args.seed if args.seed is not None else config.eval.seed
     rows = sweep(
-        powers,
+        sources,
         args.command,
-        source_fn,
         config.channel.params(),
         args.samples or config.eval.n_samples,
         seed,
         detector=args.detector,
         threads=args.threads,
     )
-    extra = _overlay_rows(args.overlay) if args.overlay else ()
+    lines = ["power_dbm,metric,value,n_samples,seed"]
+    lines += [f"{r.power_dbm},{r.metric},{r.value},{r.n_samples},{r.seed}" for r in rows]
+    tag = "qam" if args.source == "qam" else "ae-const"
     name = {"ser": f"ser_{tag}_{args.detector}", "mi": f"mi_{tag}", "air": "air"}[args.command]
     path = out_dir / f"{name}.csv"
-    _write_results_csv(path, config, seed, rows, extra_rows=extra)
+    _write_text(path, config, seed, lines + extra)
     print(f"wrote {path}")
     return 0
 
@@ -288,13 +275,10 @@ def _overlay_rows(overlay_path: str) -> list[str]:
 
 
 def cmd_regions(args) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.outputs)
-    _echo_config(out_dir, config)
+    config, out_dir = _setup(args, "outputs")
     seed = args.seed if args.seed is not None else config.eval.seed
-    powers, source_fn, _ = _resolve_source(args, config)
-    power = powers[0]
-    detector = detector_for(args.detector, source_fn(power), config.channel.params())
+    ((power, source),) = _resolve_sources(args, config)
+    detector = detector_for(args.detector, source, config.channel.params())
 
     half_width = args.half_width or config.eval.raster_half_width
     if half_width is None:
@@ -313,7 +297,12 @@ def cmd_regions(args) -> int:
     )
     grid = decision_regions(detector, spec)
     path = out_dir / f"regions_{args.detector}_p{power:+.2f}dbm.txt"
-    _write_raster(path, config, seed, spec, grid)
+    _write_text(path, config, seed, [
+        f"# window: center={spec.center.real},{spec.center.imag} "
+        f"half_width={spec.half_width} (rows run along ascending imaginary part)",
+        str(spec.resolution),
+        *(" ".join(str(int(v)) for v in row) for row in grid),
+    ])
     written = [str(path)]
     if args.ppm:
         ppm_path = path.with_suffix(".ppm")
@@ -324,12 +313,10 @@ def cmd_regions(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.outputs)
-    _echo_config(out_dir, config)
+    config, out_dir = _setup(args, "outputs")
     seed = args.seed if args.seed is not None else 0
     report = run_all(seed=seed)
-    lines = _header(config, seed)
+    lines = []
     ok = True
     for name, err in report.items():
         passed = err <= GRADCHECK_TOLERANCE
@@ -337,23 +324,17 @@ def cmd_gradcheck(args) -> int:
         line = f"{name}: max relative error {err:.3e} (tolerance {GRADCHECK_TOLERANCE:g}) {'PASS' if passed else 'FAIL'}"
         lines.append(line)
         print(line)
-    (out_dir / "gradcheck.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out_dir / "gradcheck.txt", config, seed, lines)
     return 0 if ok else 1
 
 
 def cmd_export_constellation(args) -> int:
-    config = load_config(args.config)
-    out_dir = Path(args.out or config.paths.outputs)
-    _echo_config(out_dir, config)
+    config, out_dir = _setup(args, "outputs")
     model = _load_checkpoint_file(Path(args.checkpoint))
-    points = constellation_points(model)
-    lines = _header(config, config.eval.seed)
-    lines.append(f"# input_power_w: {model.input_power_w}")
-    lines.append("index,re,im")
-    for i, p in enumerate(points):
-        lines.append(f"{i},{p.real},{p.imag}")
+    lines = [f"# input_power_w: {model.input_power_w}", "index,re,im"]
+    lines += [f"{i},{p.real},{p.imag}" for i, p in enumerate(constellation_points(model))]
     path = out_dir / "constellation.csv"
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, config, config.eval.seed, lines)
     print(f"wrote {path}")
     return 0
 
@@ -419,13 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file")
     p.add_argument("--detector", choices=("ae", "ml", "mindist"), default="ae")
     p.add_argument("--power", type=float)
-    p.add_argument("--powers", help=argparse.SUPPRESS)
     p.add_argument("--center", help="window center as re,im (default 0,0)")
     p.add_argument("--half-width", type=float, help="window half width in sqrt(W)")
     p.add_argument("--resolution", type=int)
     p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
     p.add_argument("--ppm", action="store_true", help="also write a portable pixmap")
-    p.set_defaults(func=cmd_regions)
+    p.set_defaults(func=cmd_regions, powers=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
     _add_common(p)

@@ -1,8 +1,10 @@
 """Experiment layer: baselines, error rates, information rates, rasters.
 
 Detectors are plain callables mapping a complex sample array to integer
-message indices, so autoencoder decisions, exact-likelihood ML decisions,
-and minimum-distance decisions all plug into the same measurement code.
+message indices: `detect` bound to a trained model, `ml_detect` bound to
+an exact-likelihood oracle, or a minimum-distance rule.  They all plug
+into the same measurement code.  A sweep takes its sources already
+resolved, one (power, constellation or model) pair per point.
 
 All Monte Carlo here uses balanced message draws for error rates and
 uniform draws for information rates, with streams derived deterministically
@@ -13,18 +15,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
 from fiberae.channel import ChannelParams, derived_seed, make_rng, propagate
-from fiberae.likelihood import (
-    Constellation,
-    LikelihoodOracle,
-    build_oracle,
-    ml_detect,
-    mutual_information,
-)
+from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 from fiberae.nets import CROSS_ENTROPY_FLOOR
 
 __all__ = [
@@ -32,8 +29,6 @@ __all__ = [
     "RasterSpec",
     "qam",
     "min_distance_detector",
-    "ae_detector",
-    "ml_oracle_detector",
     "detector_for",
     "ser",
     "air",
@@ -126,20 +121,6 @@ def min_distance_detector(constellation: Constellation):
     return detector
 
 
-def ae_detector(model: AutoencoderModel):
-    def detector(y):
-        return detect(model, np.asarray(y, dtype=complex))
-
-    return detector
-
-
-def ml_oracle_detector(oracle: LikelihoodOracle):
-    def detector(y):
-        return ml_detect(oracle, np.asarray(y, dtype=complex))
-
-    return detector
-
-
 def detector_for(kind: str, source, params: ChannelParams):
     """Detector of the given kind ("mindist", "ml" or "ae") for a source.
 
@@ -149,9 +130,9 @@ def detector_for(kind: str, source, params: ChannelParams):
     if kind == "mindist":
         return min_distance_detector(_as_constellation(source))
     if kind == "ae":
-        return ae_detector(source)
+        return partial(detect, source)
     if kind == "ml":
-        return ml_oracle_detector(build_oracle(_as_constellation(source), params))
+        return partial(ml_detect, build_oracle(_as_constellation(source), params))
     raise ValueError(f"unknown detector {kind!r}")
 
 
@@ -198,32 +179,29 @@ def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
 
 
 def sweep(
-    powers_dbm,
+    sources,
     metric: str,
-    source_fn,
     params: ChannelParams,
     n_samples: int,
     seed: int,
     detector: str = "mindist",
     threads: int = 1,
 ) -> list[SweepResult]:
-    """Evaluate one metric over a list of input powers.
+    """Evaluate one metric over (power_dbm, source) pairs.
 
-    `source_fn(power_dbm)` supplies the constellation or model for each
-    power.  metric is one of "ser", "air", "mi"; for "ser" `detector`
-    selects "mindist", "ml" (exact-likelihood oracle), or "ae".  Per-power
-    randomness derives from (seed, power index), so results are
+    Each source is the constellation or trained model sent at its power.
+    metric is one of "ser", "air", "mi"; for "ser" `detector` selects
+    "mindist", "ml" (exact-likelihood oracle), or "ae".  Per-power
+    randomness derives from (seed, pair index), so results are
     deterministic and independent of thread count.
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "ser" and detector not in ("mindist", "ml", "ae"):
         raise ValueError(f"unknown detector {detector!r}")
-    powers = list(powers_dbm)
 
     def one_power(item) -> SweepResult:
-        i, p_dbm = item
-        source = source_fn(p_dbm)
+        i, (p_dbm, source) = item
         eval_seed = derived_seed(seed, i, 0)
         if metric == "ser":
             det = detector_for(detector, source, params)
@@ -233,15 +211,14 @@ def sweep(
                 raise TypeError("air sweeps need a trained model per power")
             value = air(source, n_samples, eval_seed)
         else:
-            const = _as_constellation(source)
-            oracle = build_oracle(const, params)
-            value = mutual_information(oracle, const, params, n_samples, eval_seed)
+            oracle = build_oracle(_as_constellation(source), params)
+            value = mutual_information(oracle, n_samples, eval_seed)
         return SweepResult(
             power_dbm=float(p_dbm), metric=metric, value=value,
             n_samples=n_samples, seed=seed,
         )
 
-    items = list(enumerate(powers))
+    items = list(enumerate(sources))
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one_power, items))

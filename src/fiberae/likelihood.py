@@ -33,9 +33,12 @@ Rings.  The noise is circularly symmetric, so turning the input turns the
 output law: the points of exactly equal |x| share one grid, turned by each
 symbol's phase.
 
-ML decisions and mutual information use log-densities, which stay finite
-where a density underflows a double; `likelihood` returns densities
-floored at the smallest normal double.
+An oracle holds the constellation and channel it was built for, and
+`mutual_information` simulates exactly those, so the density it scores
+with and the channel it samples cannot disagree.  ML decisions and mutual
+information use log-densities, which stay finite where a density
+underflows a double; `likelihood` returns densities floored at the
+smallest normal double.
 """
 
 from __future__ import annotations
@@ -238,19 +241,18 @@ def ml_detect(oracle: LikelihoodOracle, y):
     return int(idx[0]) if scalar else idx
 
 
-def mutual_information(oracle: LikelihoodOracle, constellation: Constellation,
-                       params: ChannelParams, n_samples: int, seed: int = 0) -> float:
-    """Monte-Carlo mutual information in bits under the oracle's densities.
+def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
+    """Monte-Carlo mutual information in bits of the oracle's constellation.
 
-    Draws (x_i, y_i) with uniform messages and fresh channel noise from the
-    stream (seed, 2), then averages log2 of the ratio between p(y_i | x_i)
-    and the uniform mixture over all symbols.  The same density serves
-    numerator and denominator, so each term is at most log2 M; negative
-    estimates are Monte Carlo noise and clamp to 0.
+    Draws (x_i, y_i) with uniform messages and fresh noise of the oracle's
+    channel from the stream (seed, 2), then averages log2 of the ratio
+    between p(y_i | x_i) and the uniform mixture over all symbols.  The same
+    density serves numerator and denominator, so each term is at most
+    log2 M; negative estimates are Monte Carlo noise and clamp to 0.
     """
     rng = make_rng((seed, 2))
-    msgs = rng.integers(0, constellation.m, size=n_samples)
-    y = propagate(constellation.points[msgs], params, rng)
+    msgs = rng.integers(0, oracle.m, size=n_samples)
+    y = propagate(oracle.constellation.points[msgs], oracle.params, rng)
     dens = _log_density_matrix(oracle, y)
     own = dens[msgs, np.arange(n_samples)]
     # log of the mixture, in place: the matrix is the largest array here

@@ -9,27 +9,26 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 
 from awgn_reference import awgn_mutual_information_bits, awgn_qam_ser
-from fiberae.autoencoder import TrainConfig, build_model, constellation_points, train
+from fiberae.autoencoder import TrainConfig, build_model, constellation_points, detect, train
 from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
 from fiberae.cli import main as cli_main
 from fiberae.evaluation import (
     RasterSpec,
-    ae_detector,
     air,
     decision_regions,
     min_distance_detector,
-    ml_oracle_detector,
     qam,
     ser,
     sweep,
 )
 from fiberae.gradcheck import channel_error, dense_network_error, end_to_end_error
-from fiberae.likelihood import Constellation, build_oracle, mutual_information
+from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 
 NLPN = ChannelParams()  # 5000 km, gamma 1.27, -21.3 dBm noise, 50 segments
 AWGN = ChannelParams(gamma=0.0)
@@ -93,11 +92,10 @@ def oracle_0dbm(model_0dbm):
 @pytest.fixture(scope="module")
 def qam_ml_sweep():
     """16-QAM + exact-likelihood ML detector, -15..10 dBm step 1."""
-    powers = [float(p) for p in range(-15, 11)]
+    sources = [(float(p), qam(16, watts_from_dbm(p))) for p in range(-15, 11)]
     return sweep(
-        powers,
+        sources,
         "ser",
-        lambda p: qam(16, watts_from_dbm(p)),
         NLPN,
         n_samples=100_000,
         seed=31,
@@ -172,7 +170,7 @@ def test_criterion_3_awgn_cross_validation():
     msgs = np.arange(100_000) % 16
     y = propagate(const.points[msgs], AWGN, make_rng(13))
     agree = float(np.mean(
-        np.asarray(ml_oracle_detector(oracle)(y)) == min_distance_detector(const)(y)
+        ml_detect(oracle, y) == min_distance_detector(const)(y)
     ))
     ok_b = agree >= 0.99
     details.append(f"ml-vs-mindist agreement {100 * agree:.3f}%")
@@ -181,7 +179,7 @@ def test_criterion_3_awgn_cross_validation():
     p = watts_from_dbm(-15.0)
     const = qam(16, p)
     oracle = build_oracle(const, AWGN)
-    mi = mutual_information(oracle, const, AWGN, 100_000, seed=15)
+    mi = mutual_information(oracle, 100_000, seed=15)
     exact = awgn_mutual_information_bits(const.points, AWGN.noise_power_w)
     ok_c = abs(mi - exact) <= 0.1
     details.append(f"MI {mi:.3f} vs quadrature {exact:.3f}")
@@ -208,7 +206,7 @@ def test_criterion_4_qam_ser_minimum(qam_ml_sweep):
 
 def test_criterion_5_ae_beats_qam(model_5dbm, qam_ml_sweep):
     qam_ser_5 = {r.power_dbm: r.value for r in qam_ml_sweep}[5.0]
-    ae_ser = ser(model_5dbm, ae_detector(model_5dbm), NLPN, 200_000, seed=21)
+    ae_ser = ser(model_5dbm, partial(detect, model_5dbm), NLPN, 200_000, seed=21)
     report(
         5,
         "AE beats 16-QAM under NLPN at 5 dBm",
@@ -225,7 +223,7 @@ def test_criterion_6_air_flattens(model_5dbm, model_0dbm):
     for p_dbm, seed in ((-2.0, 24), (5.0, 25)):
         const = qam(16, watts_from_dbm(p_dbm))
         oracle = build_oracle(const, NLPN)
-        mi_qam[p_dbm] = mutual_information(oracle, const, NLPN, 100_000, seed=seed + 100)
+        mi_qam[p_dbm] = mutual_information(oracle, 100_000, seed=seed + 100)
 
     ok = (
         air_5 >= 3.5
@@ -250,7 +248,7 @@ def test_criterion_7_bound_ordering(model_5dbm, model_0dbm):
             points=constellation_points(model), power_w=model.input_power_w
         )
         oracle = build_oracle(const, NLPN)
-        mi = mutual_information(oracle, const, NLPN, 100_000, seed=seeds[1] + 100)
+        mi = mutual_information(oracle, 100_000, seed=seeds[1] + 100)
         ok = ok and 0.0 <= value <= 4.0 + 1e-9 and value <= mi + 0.1
         details.append(f"{label}: AIR {value:.3f} <= MI {mi:.3f} + 0.1")
     report(7, "bound ordering", ok, "; ".join(details))
@@ -304,8 +302,8 @@ def test_criterion_8_decision_regions(model_0dbm, oracle_0dbm):
         half_width=3.0 * math.sqrt(model_0dbm.input_power_w),
         resolution=201,
     )
-    ae_grid = decision_regions(ae_detector(model_0dbm), spec)
-    ml_grid = decision_regions(ml_oracle_detector(oracle_0dbm), spec)
+    ae_grid = decision_regions(partial(detect, model_0dbm), spec)
+    ml_grid = decision_regions(partial(ml_detect, oracle_0dbm), spec)
     radius = output_radius(const, NLPN, n_samples=100_000, seed=33, quantile=0.99)
     mesh = spec.mesh()
     disc = np.abs(mesh) <= radius
@@ -327,8 +325,8 @@ def test_criterion_8_decision_regions(model_0dbm, oracle_0dbm):
 
 def test_ml_oracle_not_beaten_by_ae(model_0dbm, oracle_0dbm):
     # a detector called ML must not lose to the learned decoder it bounds
-    ae_ser = ser(model_0dbm, ae_detector(model_0dbm), NLPN, 200_000, seed=21)
-    ml_ser = ser(model_0dbm, ml_oracle_detector(oracle_0dbm), NLPN, 200_000, seed=21)
+    ae_ser = ser(model_0dbm, partial(detect, model_0dbm), NLPN, 200_000, seed=21)
+    ml_ser = ser(model_0dbm, partial(ml_detect, oracle_0dbm), NLPN, 200_000, seed=21)
     print(f"\nML oracle SER {ml_ser:.4g} vs AE SER {ae_ser:.4g} at 0 dBm", flush=True)
     assert ml_ser <= ae_ser, f"ML oracle SER {ml_ser:.4g} > AE SER {ae_ser:.4g}"
 

@@ -446,6 +446,49 @@ class TestConflictingInputs:
         assert "layer plan" in capsys.readouterr().err
 
 
+class TestInputsResolvedFirst:
+    """Every input is loaded and checked before any Monte-Carlo work."""
+
+    @pytest.fixture
+    def ckpt_dir(self, tmp_path, awgn_config):
+        out = tmp_path / "ckpt"
+        for power in ("-3", "-2"):
+            assert run_cli("train", "--config", awgn_config, "--power", power,
+                           "--batches", "2", "--out", out, "--seed", "3") == 0
+        return out
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("argv, message", [
+        # the -1 dBm checkpoint is missing from the directory
+        (("ser", "--source", "{dir}", "--detector", "ae", "--powers=-3:1:-1"), "does not exist"),
+        # a file checkpoint serves only the power it was trained at
+        (("air", "--checkpoint", "{dir}/ae_m4_p-3.00dbm.json", "--powers=-3:1:0"), "trained at"),
+        # -2.996 dBm rounds to the -3 dBm file name, but that model is not trained there
+        (("ser", "--source", "{dir}", "--detector", "ae", "--powers=-3:0.004:-2.996"),
+         "trained at"),
+    ], ids=["dir-missing-file", "file-other-power", "dir-file-other-power"])
+    def test_bad_source_fails_before_simulation(self, tmp_path, awgn_config, ckpt_dir, monkeypatch,
+                                                capsys, argv, message, threads):
+        def no_propagate(*args, **kwargs):
+            pytest.fail("propagate ran before every input was resolved")
+
+        monkeypatch.setattr("fiberae.evaluation.propagate", no_propagate)
+        out = tmp_path / "out"
+        argv = [a.format(dir=ckpt_dir) for a in argv]
+        assert run_cli(*argv, "--config", awgn_config, "--threads", threads, "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
+
+    def test_regions_takes_no_power_sweep(self, tmp_path, awgn_config):
+        # regions draws one raster at one power
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("regions", "--config", awgn_config, "--source", "qam", "--detector",
+                    "mindist", "--powers=0:1:3", "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists() or list(out.glob("regions_*")) == []
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # the child imports the same package as this process, installed or not

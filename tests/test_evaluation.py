@@ -10,7 +10,6 @@ from fiberae.autoencoder import build_model
 from fiberae.channel import ChannelParams, watts_from_dbm
 from fiberae.evaluation import (
     RasterSpec,
-    ae_detector,
     air,
     air_from_posterior_mass,
     decision_regions,
@@ -158,16 +157,19 @@ class TestDecisionRegions:
             RasterSpec(half_width=0.0, resolution=32)
 
 
+def qpsk_sources(powers):
+    return [(p, qam(4, watts_from_dbm(p))) for p in powers]
+
+
 class TestSweep:
     def test_empty_power_list(self):
-        assert sweep([], "ser", lambda p: qam(4, watts_from_dbm(p)), AWGN, 100, seed=0) == []
+        assert sweep([], "ser", AWGN, 100, seed=0) == []
 
     def test_ser_sweep_rows(self):
         powers = [-10.0, -5.0]
         rows = sweep(
-            powers,
+            qpsk_sources(powers),
             "ser",
-            lambda p: qam(4, watts_from_dbm(p)),
             AWGN,
             20_000,
             seed=3,
@@ -178,15 +180,11 @@ class TestSweep:
         assert rows[0].value > rows[1].value  # less power, more errors
 
     def test_threads_do_not_change_values(self):
-        powers = [-10.0, -8.0, -6.0]
-
-        def src(p):
-            return qam(4, watts_from_dbm(p))
-
-        a = sweep(powers, "ser", src, AWGN, 20_000, seed=4, detector="mindist", threads=1)
-        b = sweep(powers, "ser", src, AWGN, 20_000, seed=4, detector="mindist", threads=3)
+        sources = qpsk_sources([-10.0, -8.0, -6.0])
+        a = sweep(sources, "ser", AWGN, 20_000, seed=4, detector="mindist", threads=1)
+        b = sweep(sources, "ser", AWGN, 20_000, seed=4, detector="mindist", threads=3)
         assert a == b
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
-            sweep([0.0], "ber", lambda p: qam(4, 1e-3), AWGN, 100, seed=0)
+            sweep([(0.0, qam(4, 1e-3))], "ber", AWGN, 100, seed=0)
