@@ -43,7 +43,7 @@ else:
     model = load_checkpoint("demo_checkpoint.json")
     p_dbm = dbm_from_watts(model.input_power_w)
     value = air(model, 50_000, seed=13)
-    const = Constellation(points=constellation_points(model), power_w=model.input_power_w)
+    const = Constellation(points=constellation_points(model))
     # the channel the model was trained on, which need not be the default
     oracle = build_oracle(const, model.params)
     mi = mutual_information(oracle, 50_000, seed=15)

@@ -11,6 +11,10 @@ of width M and a linear 2-neuron output; the receiver takes the 2 real
 channel outputs through 6 hidden tanh layers of width M into a sigmoid
 M-neuron output.
 
+A model is its two networks, its channel and its input power.  M and the
+normalization scale sqrt(P_in / mean raw symbol power) are derived from
+the weights; a checkpoint records both, and loading checks them.
+
 Training minimizes the batch-averaged cross-entropy (natural log) with
 Adam, backpropagating through the receiver, the recorded channel tape, the
 normalization scale, and the transmitter in one exact reverse pass.  The
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -55,7 +59,6 @@ __all__ = [
     "CheckpointError",
     "build_model",
     "constellation_points",
-    "renormalize",
     "decode",
     "detect",
     "train",
@@ -81,26 +84,26 @@ class CheckpointError(ValueError):
 class AutoencoderModel:
     tx: DenseNetwork
     rx: DenseNetwork
-    norm_scale: float
-    m: int
     params: ChannelParams
     input_power_w: float
 
     def __post_init__(self):
-        if type(self.m) is not int or self.m < 2:
-            raise ValueError("m must be an int >= 2")
-        if self.tx.n_in != self.m or self.tx.n_out != 2:
-            raise ValueError(f"transmitter must map {self.m} -> 2")
+        if self.m < 2 or self.tx.n_out != 2:
+            raise ValueError(f"transmitter must map m >= 2 inputs to 2, not {self.m} to {self.tx.n_out}")
         if self.rx.n_in != 2 or self.rx.n_out != self.m:
             raise ValueError(f"receiver must map 2 -> {self.m}")
-        for name in ("input_power_w", "norm_scale"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number")
-            # float() turns a huge JSON integer into an OverflowError
-            setattr(self, name, float(value))
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+        value = self.input_power_w
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError("input_power_w must be a number")
+        # float() turns a huge JSON integer into an OverflowError
+        self.input_power_w = float(value)
+        if not 0 < self.input_power_w < math.inf:
+            raise ValueError("input_power_w must be finite and positive")
+
+    @property
+    def m(self) -> int:
+        """Constellation size: the transmitter's one-hot input width."""
+        return self.tx.n_in
 
 
 def build_model(
@@ -112,7 +115,7 @@ def build_model(
     rx_hidden: int = 6,
     hidden_width: int | None = None,
 ) -> AutoencoderModel:
-    """Glorot-initialized model with the default layer plan, then normalized."""
+    """Glorot-initialized model with the default layer plan."""
     width = m if hidden_width is None else hidden_width
     rng = make_rng(seed)
     tx = network(
@@ -125,37 +128,23 @@ def build_model(
         ["tanh"] * rx_hidden + ["sigmoid"],
         rng,
     )
-    model = AutoencoderModel(
-        tx=tx, rx=rx, norm_scale=1.0, m=m, params=params, input_power_w=input_power_w
-    )
-    renormalize(model)
-    return model
+    return AutoencoderModel(tx=tx, rx=rx, params=params, input_power_w=input_power_w)
 
 
-def raw_symbols(model: AutoencoderModel) -> np.ndarray:
-    """Unnormalized transmitter outputs for all M one-hot inputs, shape (M, 2)."""
-    out, _ = forward(model.tx, np.eye(model.m))
-    return out
-
-
-def _power_scale(raw: np.ndarray, input_power_w: float):
-    """(mean power of raw (M, 2) symbols, the scale that brings it to input_power_w)."""
+def _normalize(tx: DenseNetwork, input_power_w: float):
+    """The transmitter's M symbols scaled to mean power input_power_w, as
+    (complex points, scale, raw (M, 2) outputs, their mean power, cache)."""
+    raw, cache = forward(tx, np.eye(tx.n_in))
     mean_power = float(np.mean(np.sum(raw * raw, axis=1)))
-    if mean_power == 0.0:
-        raise ValueError("transmitter outputs have zero mean power, cannot normalize")
-    return mean_power, np.sqrt(input_power_w / mean_power)
-
-
-def renormalize(model: AutoencoderModel) -> float:
-    """Set norm_scale so the M-symbol constellation has mean power input_power_w."""
-    model.norm_scale = float(_power_scale(raw_symbols(model), model.input_power_w)[1])
-    return model.norm_scale
+    if not 0.0 < mean_power < math.inf:
+        raise ValueError(f"transmitter outputs have mean power {mean_power}, cannot normalize")
+    scale = np.sqrt(input_power_w / mean_power)
+    return scale * (raw[:, 0] + 1j * raw[:, 1]), scale, raw, mean_power, cache
 
 
 def constellation_points(model: AutoencoderModel) -> np.ndarray:
     """The M normalized complex symbols in message order."""
-    raw = raw_symbols(model)
-    return model.norm_scale * (raw[:, 0] + 1j * raw[:, 1])
+    return _normalize(model.tx, model.input_power_w)[0]
 
 
 def _rx_input_scale(model: AutoencoderModel) -> float:
@@ -215,9 +204,7 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     transmitter, with the scale differentiated through the batch's M symbol
     powers.
     """
-    raw, cache_tx = forward(model.tx, np.eye(model.m))
-    mean_power, scale = _power_scale(raw, model.input_power_w)
-    points = scale * (raw[:, 0] + 1j * raw[:, 1])
+    points, scale, raw, mean_power, cache_tx = _normalize(model.tx, model.input_power_w)
     y, tape = propagate_tape(points[messages], noise, model.params)
     post, cache_rx, sums = _posteriors(model, y)
     loss, clamped = cross_entropy(post, messages)
@@ -295,7 +282,6 @@ def train(model: AutoencoderModel, config: TrainConfig) -> TrainResult:
         losses[b] = loss
         floor_hits += hits
         adam_step(state, params, grads)
-    renormalize(model)
     return TrainResult(losses=losses, floor_hits=floor_hits)
 
 
@@ -335,7 +321,7 @@ def save_checkpoint(model: AutoencoderModel, path, train_config: TrainConfig | N
         "version": CHECKPOINT_VERSION,
         "m": model.m,
         "input_power_w": model.input_power_w,
-        "norm_scale": model.norm_scale,
+        "norm_scale": float(_normalize(model.tx, model.input_power_w)[1]),
         "channel": asdict(model.params),
         "transmitter": _net_to_dict(model.tx),
         "receiver": _net_to_dict(model.rx),
@@ -352,7 +338,8 @@ def _channel_from_dict(d: dict) -> ChannelParams:
 
 
 def load_checkpoint(path) -> AutoencoderModel:
-    """Read a checkpoint written by save_checkpoint."""
+    """Read a checkpoint written by save_checkpoint; its `m` and `norm_scale`
+    must be what its weights give (the scale to 1e-9 relative)."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -368,11 +355,16 @@ def load_checkpoint(path) -> AutoencoderModel:
         model = AutoencoderModel(
             tx=_net_from_dict(doc["transmitter"]),
             rx=_net_from_dict(doc["receiver"]),
-            norm_scale=doc["norm_scale"],
-            m=doc["m"],
             params=_channel_from_dict(doc["channel"]),
             input_power_w=doc["input_power_w"],
         )
+        m, saved = doc["m"], doc["norm_scale"]
+        scale = float(_normalize(model.tx, model.input_power_w)[1])
+        if type(m) is not int or m != model.m:
+            raise ValueError(f"m is {m!r}, but the weights give {model.m}")
+        number = not isinstance(saved, bool) and isinstance(saved, (int, float))
+        if not (number and abs(saved - scale) <= 1e-9 * scale):
+            raise ValueError(f"norm_scale is {saved!r}, but the weights and power give {scale!r}")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint contents in {path}: {exc}") from exc
     return model

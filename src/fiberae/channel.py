@@ -20,8 +20,8 @@ in rad / (W * km), so L * gamma * |x|^2 is a phase in radians.
 
 Randomness: every generator in the package comes from `make_rng`, a numpy
 Generator backed by the counter-based Philox bit generator and seeded from
-a SeedSequence node (entropy plus spawn key), with real and imaginary
-normal deviates drawn in that order at every segment.  Identical seeds
+a SeedSequence of an int or tuple entropy, with real and imaginary normal
+deviates drawn in that order at every segment.  Identical seeds
 give bit-identical outputs.
 """
 
@@ -58,16 +58,14 @@ def dbm_from_watts(p_w: float) -> float:
     return 10.0 * np.log10(p_w) + 30.0
 
 
-def make_rng(entropy, *spawn_key: int) -> np.random.Generator:
+def make_rng(entropy) -> np.random.Generator:
     """Counter-based generator (Philox 4x64) used for all sampling.
 
-    Seeded from SeedSequence(entropy, spawn_key=spawn_key): `make_rng(s)`
-    is the root stream of seed s, a tuple entropy such as (s, tag) names a
-    structurally disjoint stream, and `make_rng(e, i)` is child i of what
-    SeedSequence(e).spawn() would give.
+    Seeded from SeedSequence(entropy): `make_rng(s)` is the root stream of
+    seed s, and a tuple entropy such as (s, tag) names a structurally
+    disjoint stream.
     """
-    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 def derived_seed(root_seed: int, index: int, slot: int) -> int:
@@ -135,22 +133,18 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
     return scale * (z[:, 0] + 1j * z[:, 1])
 
 
-def _rotation(y: np.ndarray, c: float, rotations, k: int) -> np.ndarray:
-    """exp(j*c*|y|^2), also stored as rotations[k] when a tape is recorded."""
-    rot = np.exp(1j * c * (y.real**2 + y.imag**2))
-    if rotations is not None:
-        rotations[k] = rot
-    return rot
-
-
 def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
-    """y <- y * exp(j*c*|y|^2) + n for each segment's noise n, in order;
-    segment k's output goes to states[k+1] when a tape is recorded."""
+    """y <- y * exp(j*c*|y|^2) + n for each segment's noise n, in order; a tape
+    records segment k's rotation in rotations[k], its output in states[k+1]."""
     for k, n in enumerate(noise):
+        rot = np.exp(1j * c * (y.real**2 + y.imag**2))
+        if rotations is not None:
+            rotations[k] = rot
         # numpy evaluates y * <temporary> as <temporary> * y for arrays of
         # 256 KiB and more, and a complex product is not bitwise commutative:
-        # an unnamed rotation keeps one operand order, tape or not
-        y = y * _rotation(y, c, rotations, k) + n
+        # an explicit operand order keeps a sample's bits whatever the batch
+        y = np.multiply(y, rot, out=rot)
+        y += n
         if states is not None:
             states[k + 1] = y
     return y
@@ -213,5 +207,7 @@ def backprop_channel(tape: PropagationTape, grad_output: np.ndarray) -> np.ndarr
         g = np.broadcast_to(g, tape.states.shape[1:]).astype(complex)
     c = tape.params.phase_rate
     for x, rot in zip(tape.states[-2::-1], tape.rotations[::-1]):
-        g = g * np.conj(rot) + 2.0 * c * (g * np.conj(x * rot)).imag * x
+        # g first in both products, whatever the batch size (see _recurse)
+        w = np.multiply(g, np.conj(x * rot))
+        g = np.multiply(g, np.conj(rot)) + 2.0 * c * w.imag * x
     return g

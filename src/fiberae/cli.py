@@ -229,17 +229,19 @@ def cmd_sweep(args) -> int:
     sources = _resolve_sources(args, config)
     extra = _overlay_rows(args.overlay) if args.overlay else []
     seed = args.seed if args.seed is not None else config.eval.seed
-    rows = sweep(
+    n_samples = args.samples or config.eval.n_samples
+    values = sweep(
         sources,
         args.command,
         config.channel.params(),
-        args.samples or config.eval.n_samples,
+        n_samples,
         seed,
         detector=args.detector,
         threads=args.threads,
     )
     lines = ["power_dbm,metric,value,n_samples,seed"]
-    lines += [f"{r.power_dbm},{r.metric},{r.value},{r.n_samples},{r.seed}" for r in rows]
+    lines += [f"{float(p)},{args.command},{v},{n_samples},{seed}"
+              for (p, _), v in zip(sources, values)]
     tag = "qam" if args.source == "qam" else "ae-const"
     name = {"ser": f"ser_{tag}_{args.detector}", "mi": f"mi_{tag}", "air": "air"}[args.command]
     path = out_dir / f"{name}.csv"

@@ -4,7 +4,8 @@ Detectors are plain callables mapping a complex sample array to integer
 message indices: `detect` bound to a trained model, `ml_detect` bound to
 an exact-likelihood oracle, or a minimum-distance rule.  They all plug
 into the same measurement code.  A sweep takes its sources already
-resolved, one (power, constellation or model) pair per point.
+resolved, one (power, constellation or model) pair per point, and returns
+one value per pair.
 
 All Monte Carlo here uses balanced message draws for error rates and
 uniform draws for information rates, with streams derived deterministically
@@ -25,7 +26,6 @@ from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_in
 from fiberae.nets import CROSS_ENTROPY_FLOOR
 
 __all__ = [
-    "SweepResult",
     "RasterSpec",
     "qam",
     "min_distance_detector",
@@ -36,15 +36,6 @@ __all__ = [
     "decision_regions",
     "sweep",
 ]
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    power_dbm: float
-    metric: str
-    value: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,7 @@ def qam(m: int, p_in_w: float) -> Constellation:
     level_q = np.array([_gray_decode(s & (side - 1)) for s in idx])
     pts = levels[level_i] + 1j * levels[level_q]
     pts *= np.sqrt(p_in_w / np.mean(np.abs(pts) ** 2))
-    return Constellation(points=pts, power_w=p_in_w)
+    return Constellation(points=pts)
 
 
 def _as_constellation(source) -> Constellation:
@@ -104,9 +95,7 @@ def _as_constellation(source) -> Constellation:
     if isinstance(source, Constellation):
         return source
     if isinstance(source, AutoencoderModel):
-        return Constellation(
-            points=constellation_points(source), power_w=source.input_power_w
-        )
+        return Constellation(points=constellation_points(source))
     raise TypeError(f"cannot interpret {type(source).__name__} as a constellation")
 
 
@@ -186,12 +175,13 @@ def sweep(
     seed: int,
     detector: str = "mindist",
     threads: int = 1,
-) -> list[SweepResult]:
-    """Evaluate one metric over (power_dbm, source) pairs.
+) -> list[float]:
+    """The value of one metric for each (power_dbm, source) pair, in order.
 
-    Each source is the constellation or trained model sent at its power.
-    metric is one of "ser", "air", "mi"; for "ser" `detector` selects
-    "mindist", "ml" (exact-likelihood oracle), or "ae".  Per-power
+    Each source is the constellation or trained model sent at its power; a
+    model must have been trained on `params`, the channel every metric
+    runs on.  metric is one of "ser", "air", "mi"; for "ser" `detector`
+    selects "mindist", "ml" (exact-likelihood oracle), or "ae".  Per-power
     randomness derives from (seed, pair index), so results are
     deterministic and independent of thread count.
     """
@@ -199,26 +189,24 @@ def sweep(
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "ser" and detector not in ("mindist", "ml", "ae"):
         raise ValueError(f"unknown detector {detector!r}")
+    items = list(enumerate(sources))
+    other = [p for _, (p, s) in items if isinstance(s, AutoencoderModel) and s.params != params]
+    if other:
+        raise ValueError(f"the models at {other} dBm were trained on another channel than {params}")
 
-    def one_power(item) -> SweepResult:
-        i, (p_dbm, source) = item
+    def one_power(item) -> float:
+        i, (_, source) = item
         eval_seed = derived_seed(seed, i, 0)
         if metric == "ser":
             det = detector_for(detector, source, params)
-            value = ser(source, det, params, n_samples, eval_seed)
-        elif metric == "air":
+            return ser(source, det, params, n_samples, eval_seed)
+        if metric == "air":
             if not isinstance(source, AutoencoderModel):
                 raise TypeError("air sweeps need a trained model per power")
-            value = air(source, n_samples, eval_seed)
-        else:
-            oracle = build_oracle(_as_constellation(source), params)
-            value = mutual_information(oracle, n_samples, eval_seed)
-        return SweepResult(
-            power_dbm=float(p_dbm), metric=metric, value=value,
-            n_samples=n_samples, seed=seed,
-        )
+            return air(source, n_samples, eval_seed)
+        oracle = build_oracle(_as_constellation(source), params)
+        return mutual_information(oracle, n_samples, eval_seed)
 
-    items = list(enumerate(sources))
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one_power, items))

@@ -33,12 +33,12 @@ Rings.  The noise is circularly symmetric, so turning the input turns the
 output law: the points of exactly equal |x| share one grid, turned by each
 symbol's phase.
 
-An oracle holds the constellation and channel it was built for, and
-`mutual_information` simulates exactly those, so the density it scores
-with and the channel it samples cannot disagree.  ML decisions and mutual
-information use log-densities, which stay finite where a density
-underflows a double; `likelihood` returns densities floored at the
-smallest normal double.
+A constellation is its points alone.  An oracle holds the constellation
+and channel it was built for, and `mutual_information` simulates exactly
+those, so the density it scores with and the channel it samples cannot
+disagree.  ML decisions and mutual information use log-densities, which
+stay finite where a density underflows a double; `likelihood` returns
+densities floored at the smallest normal double.
 """
 
 from __future__ import annotations
@@ -70,10 +70,9 @@ MODE_CUTOFF = 1e-17
 
 @dataclass(frozen=True)
 class Constellation:
-    """M complex symbols with uniform prior and a declared mean power."""
+    """M finite complex symbols with uniform prior."""
 
     points: np.ndarray
-    power_w: float
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex)
@@ -82,13 +81,6 @@ class Constellation:
             raise ValueError("need at least two constellation points")
         if not np.isfinite(pts).all():
             raise ValueError("constellation points must be finite")
-        if not 0 < self.power_w < math.inf:
-            raise ValueError("power_w must be finite and > 0")
-        mean_power = float(np.mean(np.abs(pts) ** 2))
-        if abs(mean_power - self.power_w) > 1e-9 * self.power_w:
-            raise ValueError(
-                f"constellation mean power {mean_power} != declared {self.power_w}"
-            )
 
     @property
     def m(self) -> int:

@@ -83,17 +83,15 @@ def model_0dbm(trained_models):
 
 @pytest.fixture(scope="module")
 def oracle_0dbm(model_0dbm):
-    const = Constellation(
-        points=constellation_points(model_0dbm), power_w=model_0dbm.input_power_w
-    )
+    const = Constellation(points=constellation_points(model_0dbm))
     return build_oracle(const, NLPN)
 
 
 @pytest.fixture(scope="module")
 def qam_ml_sweep():
-    """16-QAM + exact-likelihood ML detector, -15..10 dBm step 1."""
+    """16-QAM + exact-likelihood ML detector SER by power, -15..10 dBm step 1."""
     sources = [(float(p), qam(16, watts_from_dbm(p))) for p in range(-15, 11)]
-    return sweep(
+    values = sweep(
         sources,
         "ser",
         NLPN,
@@ -102,6 +100,7 @@ def qam_ml_sweep():
         detector="ml",
         threads=THREADS,
     )
+    return {p: v for (p, _), v in zip(sources, values)}
 
 
 def test_criterion_1_gradient_suite():
@@ -190,7 +189,7 @@ def test_criterion_3_awgn_cross_validation():
 
 
 def test_criterion_4_qam_ser_minimum(qam_ml_sweep):
-    values = {r.power_dbm: r.value for r in qam_ml_sweep}
+    values = qam_ml_sweep
     best_power = min(values, key=values.get)
     ser_min = values[best_power]
     ser_top = values[10.0]
@@ -205,7 +204,7 @@ def test_criterion_4_qam_ser_minimum(qam_ml_sweep):
 
 
 def test_criterion_5_ae_beats_qam(model_5dbm, qam_ml_sweep):
-    qam_ser_5 = {r.power_dbm: r.value for r in qam_ml_sweep}[5.0]
+    qam_ser_5 = qam_ml_sweep[5.0]
     ae_ser = ser(model_5dbm, partial(detect, model_5dbm), NLPN, 200_000, seed=21)
     report(
         5,
@@ -244,9 +243,7 @@ def test_criterion_7_bound_ordering(model_5dbm, model_0dbm):
     details = []
     for label, model, seeds in (("5dBm", model_5dbm, (26, 27)), ("0dBm", model_0dbm, (28, 29))):
         value = air(model, 100_000, seed=seeds[0])
-        const = Constellation(
-            points=constellation_points(model), power_w=model.input_power_w
-        )
+        const = Constellation(points=constellation_points(model))
         oracle = build_oracle(const, NLPN)
         mi = mutual_information(oracle, 100_000, seed=seeds[1] + 100)
         ok = ok and 0.0 <= value <= 4.0 + 1e-9 and value <= mi + 0.1

@@ -22,7 +22,6 @@ from fiberae.autoencoder import (
     detect,
     load_checkpoint,
     model_parameters,
-    renormalize,
     save_checkpoint,
     train,
 )
@@ -34,48 +33,46 @@ AWGN = ChannelParams(gamma=0.0)
 NLPN = ChannelParams()
 
 
-def toy_model(points_2d, p_in, m=None, params=AWGN):
+def toy_model(points_2d, p_in, params=AWGN):
     """Model whose tx is a single linear layer emitting fixed raw symbols."""
     pts = np.asarray(points_2d, dtype=float)
-    m = pts.shape[0] if m is None else m
+    m = pts.shape[0]
     tx = DenseNetwork([DenseLayer(pts, np.zeros(2), "linear")])
     rx_layers = [
         DenseLayer(np.zeros((2, m)), np.zeros(m), "tanh"),
         DenseLayer(np.zeros((m, m)), np.zeros(m), "sigmoid"),
     ]
-    model = AutoencoderModel(
-        tx=tx,
-        rx=DenseNetwork(rx_layers),
-        norm_scale=1.0,
-        m=m,
-        params=params,
-        input_power_w=p_in,
-    )
-    return model
+    return AutoencoderModel(tx=tx, rx=DenseNetwork(rx_layers), params=params, input_power_w=p_in)
+
+
+UNIT_CIRCLE = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
 
 
 class TestRenormalize:
+    """The normalization layer: symbols are the raw transmitter outputs times
+    sqrt(P_in / their mean power), a scale derived from the weights."""
+
     def test_unit_circle_points(self):
         # raw symbols 1, -1, j, -j all at power 1; P_in = 1e-3
-        model = toy_model([[1, 0], [-1, 0], [0, 1], [0, -1]], 1e-3)
-        scale = renormalize(model)
-        assert scale == pytest.approx(0.03162277660168379, rel=1e-12)
+        pts = constellation_points(toy_model(UNIT_CIRCLE, 1e-3))
+        scale = 0.03162277660168379
+        assert np.allclose(pts, scale * np.array([1, -1, 1j, -1j]), rtol=1e-12, atol=0)
 
     def test_fixed_point(self):
-        pts = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]) * math.sqrt(1e-3)
-        model = toy_model(pts, 1e-3)
-        assert renormalize(model) == pytest.approx(1.0, rel=1e-12)
+        raw = UNIT_CIRCLE * math.sqrt(1e-3)
+        pts = constellation_points(toy_model(raw, 1e-3))
+        assert np.allclose(pts, raw[:, 0] + 1j * raw[:, 1], rtol=1e-12, atol=0)
 
     def test_doubling_halves_scale(self):
-        pts = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
-        s1 = renormalize(toy_model(pts, 1e-3))
-        s2 = renormalize(toy_model(2.0 * pts, 1e-3))
-        assert s2 == pytest.approx(s1 / 2.0, rel=1e-12)
+        # the scale absorbs any gain of the raw symbols
+        p1 = constellation_points(toy_model(UNIT_CIRCLE, 1e-3))
+        p2 = constellation_points(toy_model(2.0 * UNIT_CIRCLE, 1e-3))
+        assert np.allclose(p2, p1, rtol=1e-12, atol=0)
 
     def test_zero_power_rejected(self):
         model = toy_model(np.zeros((4, 2)), 1e-3)
         with pytest.raises(ValueError):
-            renormalize(model)
+            constellation_points(model)
 
     def test_power_constraint_after_renormalize(self):
         model = build_model(16, NLPN, watts_from_dbm(3.0), seed=0)
@@ -84,11 +81,18 @@ class TestRenormalize:
             model.input_power_w, rel=1e-12
         )
 
+    def test_constraint_holds_as_weights_change(self):
+        # no stored scale to refresh: an edit of the live weights is seen
+        model = build_model(4, AWGN, 1e-3, seed=1)
+        model.tx.layers[-1].weights *= 3.0
+        model.tx.layers[-1].biases += 0.5
+        pts = constellation_points(model)
+        assert np.mean(np.abs(pts) ** 2) == pytest.approx(1e-3, rel=1e-12)
+
 
 class TestEncode:
     def test_antipodal_toy(self):
         model = toy_model([[1, 0], [-1, 0]], 1e-3)
-        renormalize(model)
         root = math.sqrt(1e-3)
         pts = constellation_points(model)
         assert pts[0] == pytest.approx(complex(root, 0), rel=1e-12)
@@ -251,6 +255,39 @@ class TestCheckpoints:
         path = tmp_path / "m.json"
         save_checkpoint(build_model(4, NLPN, 1e-3, seed=24), path)
         assert "seed" not in json.loads(path.read_text())["channel"]
+
+    def test_saved_norm_scale_is_derived(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_checkpoint(toy_model(UNIT_CIRCLE, 1e-3), path)
+        doc = json.loads(path.read_text())
+        assert doc["m"] == 4
+        assert doc["norm_scale"] == pytest.approx(0.03162277660168379, rel=1e-12)
+
+    @staticmethod
+    def saved_with(tmp_path, key, edit):
+        """A saved M=4 checkpoint whose field `key` holds edit(saved value)."""
+        path = tmp_path / "m.json"
+        save_checkpoint(build_model(4, AWGN, 1e-3, seed=25), path)
+        doc = json.loads(path.read_text())
+        doc[key] = edit(doc[key])
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6, 1.0 - 1e-8])
+    def test_norm_scale_other_than_weights_give_rejected(self, tmp_path, factor):
+        path = self.saved_with(tmp_path, "norm_scale", lambda v: v * factor)
+        with pytest.raises(CheckpointError, match="norm_scale"):
+            load_checkpoint(path)
+
+    def test_last_bit_norm_scale_difference_loads(self, tmp_path):
+        # a tanh evaluated on another machine may differ in its last bit
+        loaded = load_checkpoint(self.saved_with(tmp_path, "norm_scale", lambda v: v * (1 + 1e-12)))
+        expected = constellation_points(build_model(4, AWGN, 1e-3, seed=25))
+        assert np.array_equal(constellation_points(loaded), expected)
+
+    def test_m_other_than_weights_give_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="m is 8"):
+            load_checkpoint(self.saved_with(tmp_path, "m", lambda v: 8))
 
     def test_benchmark_fixture_with_channel_seed_loads(self):
         # written before the unused channel seed was dropped; it stores one

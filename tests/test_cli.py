@@ -489,6 +489,37 @@ class TestInputsResolvedFirst:
         assert not out.exists() or list(out.glob("regions_*")) == []
 
 
+class TestEditedCheckpoint:
+    """A checkpoint records its normalization scale for its readers; every
+    command refuses one whose record disagrees with its weights."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, awgn_config):
+        out = tmp_path / "ckpt"
+        assert run_cli("train", "--config", awgn_config, "--power", "-3",
+                       "--batches", "2", "--out", out, "--seed", "3") == 0
+        return out / "ae_m4_p-3.00dbm.json"
+
+    @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6])
+    @pytest.mark.parametrize("argv", [
+        ("air", "--checkpoint"),
+        ("ser", "--detector", "ae", "--source"),
+        ("mi", "--source"),
+        ("regions", "--detector", "ae", "--source"),
+        ("export-constellation", "--checkpoint"),
+    ], ids=["air", "ser-ae", "mi", "regions-ae", "export-constellation"])
+    def test_edited_norm_scale_rejected(self, tmp_path, awgn_config, trained, argv, factor,
+                                        capsys):
+        doc = json.loads(trained.read_text())
+        doc["norm_scale"] *= factor
+        trained.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli(*argv, trained, "--config", awgn_config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "norm_scale" in err
+        assert [f.name for f in out.iterdir()] == ["resolved_config.json"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # the child imports the same package as this process, installed or not

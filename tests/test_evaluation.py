@@ -21,6 +21,7 @@ from fiberae.evaluation import (
 from fiberae.likelihood import Constellation
 
 AWGN = ChannelParams(gamma=0.0)
+NLPN = ChannelParams()
 
 
 class TestQam:
@@ -167,7 +168,7 @@ class TestSweep:
 
     def test_ser_sweep_rows(self):
         powers = [-10.0, -5.0]
-        rows = sweep(
+        values = sweep(
             qpsk_sources(powers),
             "ser",
             AWGN,
@@ -175,9 +176,9 @@ class TestSweep:
             seed=3,
             detector="mindist",
         )
-        assert [r.power_dbm for r in rows] == powers
-        assert all(r.metric == "ser" and 0.0 <= r.value <= 1.0 for r in rows)
-        assert rows[0].value > rows[1].value  # less power, more errors
+        assert len(values) == len(powers)
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert values[0] > values[1]  # less power, more errors
 
     def test_threads_do_not_change_values(self):
         sources = qpsk_sources([-10.0, -8.0, -6.0])
@@ -188,3 +189,15 @@ class TestSweep:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             sweep([(0.0, qam(4, 1e-3))], "ber", AWGN, 100, seed=0)
+
+    @pytest.mark.parametrize("metric", ["air", "ser", "mi"])
+    def test_model_on_other_channel_rejected(self, metric, monkeypatch):
+        # a model trained on NLPN must not be run on AWGN by one metric and
+        # on its own channel by another
+        def no_propagate(*args, **kwargs):
+            pytest.fail("propagate ran on a conflicting source")
+
+        monkeypatch.setattr("fiberae.evaluation.propagate", no_propagate)
+        model = build_model(4, NLPN, 1e-3, seed=0)
+        with pytest.raises(ValueError, match="trained on"):
+            sweep([(0.0, model)], metric, AWGN, 100, seed=0, detector="ae")

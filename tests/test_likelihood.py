@@ -28,7 +28,7 @@ from fiberae import likelihood as likelihood_module
 
 def qpsk(p_in_w: float) -> Constellation:
     pts = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) * math.sqrt(p_in_w / 2.0)
-    return Constellation(points=pts, power_w=p_in_w)
+    return Constellation(points=pts)
 
 
 AWGN = ChannelParams(gamma=0.0)
@@ -67,24 +67,14 @@ def mode_count(oracle, i: int) -> int:
 
 
 class TestConstellation:
-    def test_power_mismatch_rejected(self):
+    @pytest.mark.parametrize("points", [[math.nan, 1.0], [math.inf, 1.0]], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, points):
         with pytest.raises(ValueError):
-            Constellation(points=np.array([1 + 0j, -1 + 0j]), power_w=2.0)
-
-    @pytest.mark.parametrize("points, power_w", [
-        ([math.nan, 1.0], 1.0),
-        ([1.0, -1.0], math.nan),
-        ([math.inf, 1.0], math.inf),
-        ([1.0, -1.0], 0.0),
-    ])
-    def test_non_finite_rejected(self, points, power_w):
-        # the power check compares against NaN, so these all passed it
-        with pytest.raises(ValueError):
-            Constellation(points=np.array(points, dtype=complex), power_w=power_w)
+            Constellation(points=np.array(points, dtype=complex))
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
-            Constellation(points=np.array([1 + 0j]), power_w=1.0)
+            Constellation(points=np.array([1 + 0j]))
 
 
 class TestBuild:
@@ -142,7 +132,7 @@ class TestBuild:
         # still integrate to one and stay finite at the origin
         params = ChannelParams()
         pts = np.array([0, 1, -1, 1j, -1j]) * 2.0 * SIGMA
-        const = Constellation(points=pts, power_w=float(np.mean(np.abs(pts) ** 2)))
+        const = Constellation(points=pts)
         oracle = build_oracle(const, params)
         span = 8.0 * SIGMA
         mesh = mesh_offsets(span, 321)
@@ -174,7 +164,7 @@ class TestAmplitudeRings:
         # no two amplitudes equal: every symbol gets a ring of its own, the
         # same bits as a ring built for that amplitude alone
         pts = np.array([0.5, 0.8j, -1.1, 1.3 * np.exp(2.0j)]) * math.sqrt(P5)
-        const = Constellation(points=pts, power_w=float(np.mean(np.abs(pts) ** 2)))
+        const = Constellation(points=pts)
         oracle = build_oracle(const, NLPN)
         reference = per_symbol_oracle(oracle)
         assert len({id(d.grid) for d in oracle.densities}) == const.m
@@ -246,8 +236,7 @@ class TestRician:
         # p(y) integrated over the phase on a polar mesh, against the Rician
         # law: the gridded profile averages to one over the phase at every
         # radius, so only the quadrature's error remains
-        const = Constellation(points=np.array([amplitude, -amplitude]) + 0j,
-                              power_w=amplitude**2)
+        const = Constellation(points=np.array([amplitude, -amplitude]) + 0j)
         oracle = build_oracle(const, NLPN)
         r = np.linspace(max(amplitude - 8.0 * self.SIGMA, 0.0), amplitude + 8.0 * self.SIGMA, 321)
         phase = np.linspace(-np.pi, np.pi, 2048, endpoint=False)
@@ -332,7 +321,7 @@ class TestExactLaw:
         # too large.  Bound: Kolmogorov-Smirnov at the 0.1% level.
         n = 20_000
         rho0 = math.sqrt(watts_from_dbm(power_dbm))
-        const = Constellation(points=np.array([rho0, -rho0]) + 0j, power_w=rho0**2)
+        const = Constellation(points=np.array([rho0, -rho0]) + 0j)
         modes = mode_count(build_oracle(const, NLPN), 0)
         law = _mode_law(rho0, NLPN, modes)
         m = np.arange(1, modes)
@@ -372,7 +361,7 @@ class TestLikelihood:
         p = 1e-3
         pts = np.array([1 + 0j, -1 + 0j]) * math.sqrt(p)
         assert abs(pts[0] - pts[1]) > 10 * SIGMA
-        oracle = build_oracle(Constellation(points=pts, power_w=p), AWGN)
+        oracle = build_oracle(Constellation(points=pts), AWGN)
         ratio = likelihood(oracle, 0, pts[0]) / likelihood(oracle, 1, pts[0])
         assert ratio > 1e3
 
@@ -391,7 +380,7 @@ class TestMlDetect:
     def test_tie_breaks_to_lowest_index(self):
         p = 1e-3
         pts = np.array([1 + 0j, -1 + 0j]) * math.sqrt(p)
-        oracle = build_oracle(Constellation(points=pts, power_w=p), AWGN)
+        oracle = build_oracle(Constellation(points=pts), AWGN)
         # the densities of the equidistant point may differ in their last
         # bits, so check the argmax rule directly on a constructed tie
         dens = np.array([[2.5, 2.5]])
@@ -427,14 +416,14 @@ class TestMutualInformation:
         params = ChannelParams(gamma=0.0, noise_power_w=watts_from_dbm(-60.0))
         p = 1e-3
         pts = np.array([1 + 0j, -1 + 0j]) * math.sqrt(p)
-        oracle = build_oracle(Constellation(points=pts, power_w=p), params)
+        oracle = build_oracle(Constellation(points=pts), params)
         mi = mutual_information(oracle, 20_000, seed=12)
         assert mi == pytest.approx(1.0, abs=0.02)
 
     def test_degenerate_identical_points(self):
         p = 1e-3
         pts = np.array([1 + 0j, 1 + 0j]) * math.sqrt(p)
-        const = Constellation(points=pts, power_w=p)
+        const = Constellation(points=pts)
         oracle = build_oracle(const, AWGN)
         mi = mutual_information(oracle, 20_000, seed=14)
         assert 0.0 <= mi <= 0.02
