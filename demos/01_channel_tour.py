@@ -25,7 +25,7 @@ print(f"noise power: {params.noise_power_w:.3e} W (-21.3 dBm)")
 # --- deterministic phase rotation --------------------------------------
 x = np.sqrt(1e-3)  # 0 dBm symbol on the real axis
 noiseless = ChannelParams(noise_power_w=0.0)
-y = propagate(x + 0j, noiseless, make_rng(0))
+(y,) = propagate(np.array([x + 0j]), noiseless, make_rng(0))  # a batch of one
 print(f"\nnoiseless propagation of |x|^2 = 1 mW:")
 print(f"  |y| / |x|        = {abs(y) / abs(x):.15f}")
 print(f"  arg(y) [rad]     = {np.angle(y) % (2 * np.pi):.6f}")

@@ -3,8 +3,8 @@
 The trainable system maps a message s in {0, ..., M-1} to a one-hot vector,
 through the transmitter net to a complex symbol, normalizes the M-symbol
 constellation to the average-power budget, sends it through the nonlinear
-channel, and decodes the received sample with the receiver net whose
-sigmoid outputs are normalized to a posterior over messages.
+channel, and decodes a batch of received samples with the receiver net,
+whose sigmoid outputs are normalized to one posterior per sample.
 
 Default layer plan (overridable): the transmitter has 5 hidden tanh layers
 of width M and a linear 2-neuron output; the receiver takes the 2 real
@@ -133,13 +133,13 @@ def build_model(
 
 def _normalize(tx: DenseNetwork, input_power_w: float):
     """The transmitter's M symbols scaled to mean power input_power_w, as
-    (complex points, scale, raw (M, 2) outputs, their mean power, cache)."""
-    raw, cache = forward(tx, np.eye(tx.n_in))
+    (complex points, scale, raw (M, 2) outputs, their mean power, activations)."""
+    raw, activations = forward(tx, np.eye(tx.n_in))
     mean_power = float(np.mean(np.sum(raw * raw, axis=1)))
     if not 0.0 < mean_power < math.inf:
         raise ValueError(f"transmitter outputs have mean power {mean_power}, cannot normalize")
     scale = np.sqrt(input_power_w / mean_power)
-    return scale * (raw[:, 0] + 1j * raw[:, 1]), scale, raw, mean_power, cache
+    return scale * (raw[:, 0] + 1j * raw[:, 1]), scale, raw, mean_power, activations
 
 
 def constellation_points(model: AutoencoderModel) -> np.ndarray:
@@ -155,10 +155,10 @@ def _rx_input_scale(model: AutoencoderModel) -> float:
 
 
 def _posteriors(model: AutoencoderModel, y: np.ndarray):
-    """Receiver posteriors for a complex sample array; returns (P, cache, sums)."""
+    """Receiver posteriors for n complex samples; returns (P (n, M), activations, sums)."""
     k = _rx_input_scale(model)
     rx_in = np.column_stack([k * y.real, k * y.imag])
-    sig, cache = forward(model.rx, rx_in)
+    sig, activations = forward(model.rx, rx_in)
     sums = sig.sum(axis=1)
     # sigmoid outputs are strictly positive unless they underflow; fall back
     # to the uniform posterior for fully underflowed rows
@@ -167,27 +167,20 @@ def _posteriors(model: AutoencoderModel, y: np.ndarray):
         sig = sig.copy()
         sig[dead] = 1.0
         sums = sig.sum(axis=1)
-    return sig / sums[:, None], cache, sums
+    return sig / sums[:, None], activations, sums
 
 
-def decode(model: AutoencoderModel, y):
-    """Posterior over messages for one sample (M,) or a batch (n, M).
+def decode(model: AutoencoderModel, y) -> np.ndarray:
+    """Posteriors (n, M) over messages for n received samples.
 
-    Components are nonnegative and sum to 1 by construction.
+    Components are nonnegative and each row sums to 1 by construction.
     """
-    arr = np.asarray(y, dtype=complex)
-    scalar = arr.ndim == 0
-    post, _, _ = _posteriors(model, np.atleast_1d(arr))
-    return post[0] if scalar else post
+    return _posteriors(model, np.atleast_1d(np.asarray(y, dtype=complex)))[0]
 
 
-def detect(model: AutoencoderModel, y):
-    """argmax of the posterior; ties break to the lowest message index."""
-    arr = np.asarray(y, dtype=complex)
-    scalar = arr.ndim == 0
-    post, _, _ = _posteriors(model, np.atleast_1d(arr))
-    idx = np.argmax(post, axis=1)
-    return int(idx[0]) if scalar else idx
+def detect(model: AutoencoderModel, y) -> np.ndarray:
+    """argmax of each posterior row; ties break to the lowest message index."""
+    return np.argmax(decode(model, y), axis=1)
 
 
 def model_parameters(model: AutoencoderModel) -> list[np.ndarray]:
@@ -204,9 +197,9 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     transmitter, with the scale differentiated through the batch's M symbol
     powers.
     """
-    points, scale, raw, mean_power, cache_tx = _normalize(model.tx, model.input_power_w)
+    points, scale, raw, mean_power, acts_tx = _normalize(model.tx, model.input_power_w)
     y, tape = propagate_tape(points[messages], noise, model.params)
-    post, cache_rx, sums = _posteriors(model, y)
+    post, acts_rx, sums = _posteriors(model, y)
     loss, clamped = cross_entropy(post, messages)
 
     hit = np.flatnonzero(~clamped)
@@ -216,7 +209,7 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     row_dot = np.sum(d_post * post, axis=1, keepdims=True)
     d_sig = (d_post - row_dot) / sums[:, None]
 
-    rx_grads, d_rx_in = backward(model.rx, cache_rx, d_sig)
+    rx_grads, d_rx_in = backward(model.rx, acts_rx, d_sig)
     k = _rx_input_scale(model)
     g_y = k * (d_rx_in[:, 0] + 1j * d_rx_in[:, 1])
     g_x = backprop_channel(tape, g_y)
@@ -228,7 +221,7 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     # points = scale(raw) * raw with scale = sqrt(P_in / mean_power(raw))
     t = float(np.sum(g_points * raw))
     d_raw = scale * (g_points - (t / (model.m * mean_power)) * raw)
-    tx_grads, _ = backward(model.tx, cache_tx, d_raw)
+    tx_grads, _ = backward(model.tx, acts_tx, d_raw)
 
     return loss, tx_grads + rx_grads, int(np.count_nonzero(clamped))
 
@@ -262,7 +255,8 @@ def train(model: AutoencoderModel, config: TrainConfig) -> TrainResult:
     Batches are balanced: each message appears batch_size/M times (batch_size
     must be a multiple of M).  Noise is redrawn every batch from a stream
     seeded by config.seed, so identical configs reproduce identical traces.
-    Raises TrainingDivergedError if the loss stops being finite.
+    Raises ValueError for a power_dbm that watts_from_dbm rejects, before the
+    model changes, and TrainingDivergedError if the loss stops being finite.
     """
     if config.batch_size % model.m != 0:
         raise ValueError("batch_size must be a multiple of the constellation size")

@@ -1,8 +1,8 @@
 """Memoryless nonlinear fiber channel: per-sample split-step recursion.
 
-The channel acts on one complex sample at a time.  Propagation applies K
-segments; each segment rotates the sample by an intensity-dependent phase
-and adds circularly-symmetric complex Gaussian noise:
+The channel acts on each complex sample of a batch (an array) on its own.
+Propagation applies K segments; each segment rotates the sample by an
+intensity-dependent phase and adds circularly-symmetric complex Gaussian noise:
 
     x[k+1] = x[k] * exp(j * L * gamma * |x[k]|^2 / K) + n[k+1]
 
@@ -47,8 +47,14 @@ __all__ = [
 
 
 def watts_from_dbm(p_dbm: float) -> float:
-    """Convert a power in dBm to watts: 10^((p_dbm - 30) / 10)."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """10^((p_dbm - 30) / 10) watts; ValueError unless that is finite and positive."""
+    try:
+        p_w = 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        p_w = math.inf
+    if not 0 < p_w < math.inf:
+        raise ValueError(f"{p_dbm} dBm is not a finite positive power in watts")
+    return p_w
 
 
 def dbm_from_watts(p_w: float) -> float:
@@ -129,7 +135,7 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
     imaginary parts, the same stream layout `propagate` consumes.
     """
     scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    z = rng.standard_normal((params.segments, 2) + tuple(np.atleast_1d(shape)))
+    z = rng.standard_normal((params.segments, 2) + tuple(shape))
     return scale * (z[:, 0] + 1j * z[:, 1])
 
 
@@ -150,20 +156,17 @@ def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.
     return y
 
 
-def propagate(x, params: ChannelParams, rng: np.random.Generator):
-    """Send samples through the channel with freshly drawn noise.
+def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+    """Send a batch of complex samples (a scalar is a batch of one) through
+    the channel with freshly drawn noise; returns an array of its shape.
 
-    `x` may be a complex scalar or a complex array; the result has the
-    same shape.  Noise is drawn segment by segment from `rng`; nothing is
-    recorded.
+    Noise is drawn segment by segment from `rng`; nothing is recorded.
     """
-    xs = np.asarray(x, dtype=complex)
-    shape = np.atleast_1d(xs).shape
+    xs = np.atleast_1d(np.asarray(x, dtype=complex))
     scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    noise = (scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = (scale * (rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape))
              for _ in range(params.segments))
-    y = _recurse(np.atleast_1d(xs), params.phase_rate, noise)
-    return complex(y[0]) if xs.ndim == 0 else y
+    return _recurse(xs, params.phase_rate, noise)
 
 
 def propagate_tape(x, noise: np.ndarray, params: ChannelParams):
@@ -173,7 +176,6 @@ def propagate_tape(x, noise: np.ndarray, params: ChannelParams):
     of `x`).  Returns (output, PropagationTape).
     """
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
-    noise = np.asarray(noise, dtype=complex)
     if noise.shape[0] != params.segments:
         raise ValueError(
             f"noise has {noise.shape[0]} segments, params require {params.segments}"
@@ -202,9 +204,7 @@ def backprop_channel(tape: PropagationTape, grad_output: np.ndarray) -> np.ndarr
     Applying this from the last segment to the first yields the exact
     reverse-mode gradient for the fixed noise realization of the tape.
     """
-    g = np.asarray(grad_output, dtype=complex)
-    if g.shape != tape.states.shape[1:]:
-        g = np.broadcast_to(g, tape.states.shape[1:]).astype(complex)
+    g = grad_output
     c = tape.params.phase_rate
     for x, rot in zip(tape.states[-2::-1], tape.rotations[::-1]):
         # g first in both products, whatever the batch size (see _recurse)

@@ -48,6 +48,15 @@ class CliError(ValueError):
 # shared plumbing
 
 
+def _checked_power(p_dbm: float) -> float:
+    """p_dbm, if it is the dBm value of a finite positive power."""
+    try:
+        watts_from_dbm(p_dbm)
+    except ValueError as exc:
+        raise CliError(f"bad input power: {exc}") from exc
+    return p_dbm
+
+
 def _parse_powers(args) -> list[float]:
     if args.powers is not None:
         try:
@@ -64,11 +73,11 @@ def _parse_powers(args) -> list[float]:
             # the cap also ends a sweep whose step is below the resolution of v
             if len(out) == MAX_SWEEP_POINTS:
                 raise CliError(f"--powers {args.powers} gives more than {MAX_SWEEP_POINTS} points")
-            out.append(round(v, 10) + 0.0)
+            out.append(_checked_power(round(v, 10) + 0.0))
             v += step
         return out
     if args.power is not None:
-        return [float(args.power)]
+        return [_checked_power(float(args.power))]
     return []
 
 
@@ -186,9 +195,9 @@ def _layer_plan(model: AutoencoderModel) -> list:
 
 
 def cmd_train(args) -> int:
+    power = _checked_power(float(args.power))
     config, out_dir = _setup(args, "checkpoints")
     seed = args.seed if args.seed is not None else config.train.seed
-    power = float(args.power)
     # the config's model; a warm start must match its layer plan
     model = build_model(
         config.model.m,

@@ -103,11 +103,7 @@ def min_distance_detector(constellation: Constellation):
     """Nearest-point decisions; ties break to the lowest index."""
     pts = constellation.points
 
-    def detector(y):
-        d = np.abs(np.asarray(y, dtype=complex)[..., None] - pts)
-        return np.argmin(d, axis=-1)
-
-    return detector
+    return lambda y: np.argmin(np.abs(y[..., None] - pts), axis=-1)
 
 
 def detector_for(kind: str, source, params: ChannelParams):
@@ -132,7 +128,7 @@ def ser(source, detector, params: ChannelParams, n_samples: int, seed: int) -> f
     points = _as_constellation(source).points
     msgs = np.arange(n_samples) % points.size
     y = propagate(points[msgs], params, make_rng(seed))
-    return float(np.mean(np.asarray(detector(y)) != msgs))
+    return float(np.mean(detector(y) != msgs))
 
 
 def air_from_posterior_mass(mass_on_truth, m: int) -> float:
@@ -163,8 +159,7 @@ def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
 def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
     """(res, res) grid of detected message indices over the raster window."""
     mesh = spec.mesh()
-    labels = np.asarray(detector(mesh.ravel()))
-    return labels.reshape(mesh.shape).astype(int)
+    return detector(mesh.ravel()).reshape(mesh.shape).astype(int)
 
 
 def sweep(
@@ -181,9 +176,9 @@ def sweep(
     Each source is the constellation or trained model sent at its power; a
     model must have been trained on `params`, the channel every metric
     runs on.  metric is one of "ser", "air", "mi"; for "ser" `detector`
-    selects "mindist", "ml" (exact-likelihood oracle), or "ae".  Per-power
-    randomness derives from (seed, pair index), so results are
-    deterministic and independent of thread count.
+    selects "mindist", "ml" (exact-likelihood oracle), or "ae"; "ae" and
+    "air" need a model at every power.  Per-power randomness derives from
+    (seed, pair index), so results are deterministic and thread-independent.
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -193,6 +188,9 @@ def sweep(
     other = [p for _, (p, s) in items if isinstance(s, AutoencoderModel) and s.params != params]
     if other:
         raise ValueError(f"the models at {other} dBm were trained on another channel than {params}")
+    untrained = [p for _, (p, s) in items if not isinstance(s, AutoencoderModel)]
+    if untrained and (metric == "air" or metric == "ser" and detector == "ae"):
+        raise ValueError(f"{metric} with the ae decoder needs a trained model at {untrained} dBm")
 
     def one_power(item) -> float:
         i, (_, source) = item
@@ -201,8 +199,6 @@ def sweep(
             det = detector_for(detector, source, params)
             return ser(source, det, params, n_samples, eval_seed)
         if metric == "air":
-            if not isinstance(source, AutoencoderModel):
-                raise TypeError("air sweeps need a trained model per power")
             return air(source, n_samples, eval_seed)
         oracle = build_oracle(_as_constellation(source), params)
         return mutual_information(oracle, n_samples, eval_seed)

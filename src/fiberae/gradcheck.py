@@ -50,12 +50,12 @@ def dense_network_error(seed: int = 0) -> float:
     worst = 0.0
     for widths, acts in cases:
         net = network(widths, acts, rng)
-        x = rng.standard_normal(widths[0])
+        x = rng.standard_normal((1, widths[0]))
         target = rng.standard_normal(widths[-1])
 
         def loss(out, target=target):
             d = out - target
-            return 0.5 * float(d @ d), d
+            return 0.5 * float(d[0] @ d[0]), d
 
         worst = max(worst, grad_check(net, loss, x, step=FD_STEP))
     return worst
@@ -67,18 +67,17 @@ def channel_error(segment_counts=(1, 5, 50), seed: int = 0, step: float = FD_STE
     rng = make_rng(seed)
     for segments in segment_counts:
         params = ChannelParams(segments=segments)
-        x = np.array([0.02 * rng.standard_normal(), 0.02 * rng.standard_normal()])
+        # a one-sample batch; its float view (Re x, Im x) is what gets perturbed
+        x = np.array([complex(0.02 * rng.standard_normal(), 0.02 * rng.standard_normal())])
         noise = draw_noise(params, (1,), rng)
-        gr, gi = rng.standard_normal(), rng.standard_normal()
+        g_out = complex(rng.standard_normal(), rng.standard_normal())
 
         def loss():
-            y, _ = propagate_tape(complex(x[0], x[1]), noise, params)
-            return gr * y[0].real + gi * y[0].imag
+            (y,), _ = propagate_tape(x, noise, params)
+            return g_out.real * y.real + g_out.imag * y.imag
 
-        _, tape = propagate_tape(np.array([complex(x[0], x[1])]), noise, params)
-        g = backprop_channel(tape, np.array([complex(gr, gi)]))[0]
-        analytic = [np.array([g.real, g.imag])]
-        worst = max(worst, finite_difference_error([x], analytic, loss, step))
+        g = backprop_channel(propagate_tape(x, noise, params)[1], g_out)
+        worst = max(worst, finite_difference_error([x.view(float)], [g.view(float)], loss, step))
     return worst
 
 

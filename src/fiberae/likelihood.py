@@ -200,17 +200,14 @@ def build_oracle(constellation: Constellation, params: ChannelParams) -> Likelih
     return LikelihoodOracle(constellation, params, densities)
 
 
-def likelihood(oracle: LikelihoodOracle, symbol: int, y):
-    """Density of output y under the given symbol; strictly positive."""
+def likelihood(oracle: LikelihoodOracle, symbol: int, y) -> np.ndarray:
+    """Densities of the outputs y under the given symbol; strictly positive."""
     if not 0 <= symbol < oracle.m:
         raise IndexError(f"symbol {symbol} outside 0..{oracle.m - 1}")
-    arr = np.asarray(y, dtype=complex)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
     d = oracle.densities[symbol]
-    log_p = d.log_radial(np.abs(arr)) + d.log_profile(np.abs(arr), np.angle(arr))
-    vals = np.maximum(np.exp(log_p), DENSITY_FLOOR)
-    return float(vals[0]) if scalar else vals
+    rho = np.abs(y)
+    return np.maximum(np.exp(d.log_radial(rho) + d.log_profile(rho, np.angle(y))), DENSITY_FLOOR)
 
 
 def _log_density_matrix(oracle: LikelihoodOracle, y: np.ndarray) -> np.ndarray:
@@ -225,12 +222,10 @@ def _log_density_matrix(oracle: LikelihoodOracle, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def ml_detect(oracle: LikelihoodOracle, y):
+def ml_detect(oracle: LikelihoodOracle, y) -> np.ndarray:
     """Most likely symbol for each sample; ties break to the lowest index."""
-    arr = np.asarray(y, dtype=complex)
-    scalar = arr.ndim == 0
-    idx = np.argmax(_log_density_matrix(oracle, np.atleast_1d(arr)), axis=0)
-    return int(idx[0]) if scalar else idx
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    return np.argmax(_log_density_matrix(oracle, y), axis=0)
 
 
 def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:

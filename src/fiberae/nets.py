@@ -3,8 +3,8 @@
 Everything is plain numpy in double precision.  Networks are small stacks
 of dense layers with tanh, sigmoid, or linear activations; layers follow
 the row-convention ``out = f(x @ W + b)`` so each column of W is one
-neuron's weight vector.  Inputs may be single vectors or (batch, features)
-arrays.
+neuron's weight vector.  Inputs are (batch, features) arrays, one row
+per sample.
 
 The training loss is the cross-entropy of a one-hot target against a
 posterior, taken with the natural log (information rates elsewhere use
@@ -30,7 +30,6 @@ __all__ = [
     "AdamState",
     "DenseLayer",
     "DenseNetwork",
-    "ForwardCache",
     "adam_init",
     "adam_step",
     "backward",
@@ -156,56 +155,39 @@ def network(widths: list[int], activations: list[str], rng: np.random.Generator)
     return DenseNetwork(layers)
 
 
-@dataclass
-class ForwardCache:
-    """Inputs and post-activation outputs of every layer for one forward pass."""
-
-    inputs: list[np.ndarray]
-    outputs: list[np.ndarray]
-    batched: bool
-
-
-def forward(net: DenseNetwork, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network; returns (output, cache for backward).
-
-    Accepts a single vector (n_in,) or a batch (n, n_in); the output has the
-    matching shape.
+def forward(net: DenseNetwork, x) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run the network on a batch (n, n_in); returns (output (n, n_out),
+    activations), where activations = [x, layer 1 output, ..., output] is
+    what backward() reads.
     """
-    arr = np.asarray(x, dtype=float)
-    batched = arr.ndim == 2
-    a = np.atleast_2d(arr)
-    if a.shape[1] != net.n_in:
-        raise ValueError(f"input has {a.shape[1]} features, network expects {net.n_in}")
-    inputs, outputs = [], []
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != net.n_in:
+        raise ValueError(f"input has shape {a.shape}, network expects (n, {net.n_in})")
+    activations = [a]
     for layer in net.layers:
-        inputs.append(a)
-        z = a @ layer.weights + layer.biases
-        a = _apply_activation(layer.activation, z)
-        outputs.append(a)
-    cache = ForwardCache(inputs=inputs, outputs=outputs, batched=batched)
-    return (a if batched else a[0]), cache
+        a = _apply_activation(layer.activation, a @ layer.weights + layer.biases)
+        activations.append(a)
+    return a, activations
 
 
-def backward(net: DenseNetwork, cache: ForwardCache, grad_output) -> tuple[list[np.ndarray], np.ndarray]:
+def backward(net: DenseNetwork, activations: list[np.ndarray], grad_output) -> tuple[list[np.ndarray], np.ndarray]:
     """Exact reverse-mode gradients for a forward() pass.
 
-    grad_output holds dLoss/d(output); for batches the parameter gradients
-    are summed over rows.  Returns (param_grads aligned with
-    net.parameters(), grad_input with the shape of the original input).
+    grad_output holds dLoss/d(output), one row per sample; parameter
+    gradients are summed over rows.  Returns (param_grads aligned with
+    net.parameters(), grad_input of shape (n, n_in)).
     """
-    if len(cache.inputs) != len(net.layers):
-        raise ValueError("cache does not match this network")
-    g = np.atleast_2d(np.asarray(grad_output, dtype=float))
-    if g.shape != cache.outputs[-1].shape:
-        raise ValueError("grad_output shape does not match cached forward output")
-    param_grads: list[np.ndarray] = [None] * (2 * len(net.layers))
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        delta = g * _activation_deriv_from_output(layer.activation, cache.outputs[i])
-        param_grads[2 * i] = cache.inputs[i].T @ delta
-        param_grads[2 * i + 1] = delta.sum(axis=0)
+    if len(activations) != len(net.layers) + 1:
+        raise ValueError("activations do not match this network")
+    g = np.asarray(grad_output, dtype=float)
+    if g.shape != activations[-1].shape:
+        raise ValueError("grad_output shape does not match the forward output")
+    param_grads: list[np.ndarray] = []
+    for layer, a_in, a_out in reversed(list(zip(net.layers, activations, activations[1:]))):
+        delta = g * _activation_deriv_from_output(layer.activation, a_out)
+        param_grads[:0] = [a_in.T @ delta, delta.sum(axis=0)]
         g = delta @ layer.weights.T
-    return param_grads, (g if cache.batched else g[0])
+    return param_grads, g
 
 
 def cross_entropy(posteriors: np.ndarray, messages: np.ndarray):
@@ -279,13 +261,13 @@ def finite_difference_error(params: list[np.ndarray], analytic: list[np.ndarray]
 
 
 def grad_check(net: DenseNetwork, loss_fn, x, step: float = 1e-6) -> float:
-    """Compare backward() against central finite differences.
+    """Compare backward() at the batch x against central finite differences.
 
-    `loss_fn(output_vector)` must return (value, grad_wrt_output); the figure
-    is that of `finite_difference_error` over every parameter entry.
+    `loss_fn(output)` must return (value, grad_wrt_output) for the (n, n_out)
+    output; the figure is `finite_difference_error` over every parameter.
     """
-    out, cache = forward(net, x)
-    analytic, _ = backward(net, cache, loss_fn(out)[1])
+    out, activations = forward(net, x)
+    analytic, _ = backward(net, activations, loss_fn(out)[1])
     return finite_difference_error(
         net.parameters(), analytic, lambda: loss_fn(forward(net, x)[0])[0], step
     )

@@ -128,7 +128,7 @@ def test_criterion_2_physics_sanity():
     x = math.sqrt(2e-3) * np.exp(1j * 0.7)
     for segments in (1, 5, 50):
         p = ChannelParams(noise_power_w=0.0, segments=segments)
-        y = propagate(x, p, make_rng(0))
+        (y,) = propagate(np.array([x]), p, make_rng(0))
         mag_err = abs(abs(y) - abs(x)) / abs(x)
         phase = (np.angle(y) - np.angle(x)) % (2 * math.pi)
         expected = (p.link_length_km * p.gamma * abs(x) ** 2) % (2 * math.pi)

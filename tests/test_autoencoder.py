@@ -116,13 +116,14 @@ class TestDecode:
 
     def test_zero_receiver_gives_uniform(self):
         model = toy_model([[1, 0], [-1, 0], [0, 1], [0, -1]], 1e-3)
-        post = decode(model, 0.01 + 0.02j)
+        post = decode(model, np.array([0.01 + 0.02j]))
+        assert post.shape == (1, 4)
         assert np.allclose(post, 0.25, atol=1e-15)
 
     def test_detect_tie_breaks_low(self):
         model = toy_model([[1, 0], [-1, 0], [0, 1], [0, -1]], 1e-3)
         # uniform posterior everywhere: argmax must return message 0
-        assert detect(model, 0.005 - 0.003j) == 0
+        assert np.array_equal(detect(model, np.array([0.005 - 0.003j])), [0])
 
 
 class TestEndToEndGradients:
@@ -192,6 +193,18 @@ class TestTrain:
         assert model.input_power_w == pytest.approx(watts_from_dbm(-10.0), rel=1e-15)
         pts = constellation_points(model)
         assert np.mean(np.abs(pts) ** 2) == pytest.approx(model.input_power_w, rel=1e-12)
+
+    @pytest.mark.parametrize("power_dbm", [math.nan, math.inf, -math.inf, 1e308])
+    def test_bad_power_rejected_before_training(self, power_dbm):
+        # NaN, infinities and a power that overflows a double in watts are
+        # rejected before the model is touched
+        model = build_model(4, AWGN, 1e-3, seed=14)
+        before = [p.copy() for p in model_parameters(model)]
+        with pytest.raises(ValueError):
+            train(model, TrainConfig(batch_size=8, batches=1, seed=15, power_dbm=power_dbm))
+        assert model.input_power_w == 1e-3
+        for a, b in zip(before, model_parameters(model)):
+            assert np.array_equal(a, b)
 
     def test_awgn_high_snr_learns_clean_constellation(self):
         # M=4 at 40 dB SNR: after training, the measured SER must be < 1e-3

@@ -23,7 +23,7 @@ def fd_input_gradient(x, noise, params, gr, gi, step=1e-6):
     """Central finite differences of L(x) = gr*Re(y) + gi*Im(y) w.r.t. (Re x, Im x)."""
 
     def loss(re, im):
-        y, _ = propagate_tape(complex(re, im), noise, params)
+        y, _ = propagate_tape(np.array([complex(re, im)]), noise, params)
         return gr * y[0].real + gi * y[0].imag
 
     a, b = x.real, x.imag
@@ -45,6 +45,12 @@ class TestUnits:
     def test_round_trip(self):
         for p in (-21.3, -15.0, 0.0, 10.0):
             assert dbm_from_watts(watts_from_dbm(p)) == pytest.approx(p, abs=1e-12)
+
+    @pytest.mark.parametrize("p_dbm", [math.nan, math.inf, -math.inf, 1e308, -1e4])
+    def test_watts_must_be_finite_and_positive(self, p_dbm):
+        # 1e308 dBm overflows a double in watts, -1e4 dBm underflows to 0 W
+        with pytest.raises(ValueError):
+            watts_from_dbm(p_dbm)
 
     def test_dbm_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -88,7 +94,7 @@ class TestNoiselessPropagation:
     def test_magnitude_preserved_and_phase_law(self, segments):
         params = ChannelParams(noise_power_w=0.0, segments=segments)
         x = math.sqrt(1e-3) * np.exp(1j * 0.3)
-        y = propagate(x, params, make_rng(0))
+        (y,) = propagate(np.array([x]), params, make_rng(0))
         assert abs(abs(y) - abs(x)) <= 1e-12 * abs(x)
         expected = params.link_length_km * params.gamma * abs(x) ** 2
         got = (np.angle(y) - np.angle(x)) % TWO_PI
@@ -99,12 +105,12 @@ class TestNoiselessPropagation:
         # i.e. 0.06681469282041341 rad mod 2*pi, for any segment count.
         for segments in (1, 13, 50):
             params = ChannelParams(noise_power_w=0.0, segments=segments)
-            y = propagate(math.sqrt(1e-3) + 0j, params, make_rng(0))
+            (y,) = propagate(np.array([math.sqrt(1e-3) + 0j]), params, make_rng(0))
             assert np.angle(y) % TWO_PI == pytest.approx(0.06681469282041341, abs=1e-9)
 
     def test_zero_input(self):
         params = ChannelParams(noise_power_w=0.0)
-        assert propagate(0j, params, make_rng(0)) == 0j
+        assert np.array_equal(propagate(np.array([0j]), params, make_rng(0)), [0j])
 
 
 class TestRandomness:
@@ -240,6 +246,14 @@ class TestBackprop:
             reference = reference * np.exp(-1j * theta) + 2.0 * c * (reference * np.conj(w)).imag * s
         assert params.gamma > 0
         assert np.array_equal(backprop_channel(tape, g), reference)
+
+    def test_grad_output_broadcasts_over_batch(self):
+        params = ChannelParams(segments=7)
+        rng = make_rng(6)
+        x = 0.04 * (rng.standard_normal(5) + 1j * rng.standard_normal(5))
+        _, tape = propagate_tape(x, draw_noise(params, x.shape, rng), params)
+        g = 0.3 - 1.1j
+        assert np.array_equal(backprop_channel(tape, g), backprop_channel(tape, np.full(5, g)))
 
     def test_single_segment_against_finite_differences(self):
         params = ChannelParams(segments=1, noise_power_w=0.0)

@@ -489,6 +489,37 @@ class TestInputsResolvedFirst:
         assert not out.exists() or list(out.glob("regions_*")) == []
 
 
+class TestPowerValues:
+    """A power must be a finite dBm value whose power in watts is a finite
+    positive double; anything else ends in an error line and no result."""
+
+    @pytest.fixture
+    def ckpt(self, tmp_path, awgn_config):
+        out = tmp_path / "ckpt"
+        assert run_cli("train", "--config", awgn_config, "--power", "-3",
+                       "--batches", "2", "--out", out, "--seed", "3") == 0
+        return out / "ae_m4_p-3.00dbm.json"
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--power", "nan"),
+        ("train", "--power", "inf"),
+        ("train", "--power", "1e308"),
+        ("ser", "--source", "qam", "--power", "1e308"),
+        ("ser", "--source", "qam", "--power", "nan"),
+        ("ser", "--source", "qam", "--power=-inf"),
+        ("mi", "--source", "qam", "--powers=3000:200:3400"),
+        ("air", "--checkpoint", "{ckpt}", "--power", "nan"),
+        ("regions", "--source", "qam", "--detector", "mindist", "--power", "inf"),
+    ])
+    def test_rejected(self, tmp_path, awgn_config, ckpt, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(ckpt=ckpt) for a in argv]
+        assert run_cli(*argv, "--config", awgn_config, "--out", out, "--threads", "1") == 1
+        assert "error:" in capsys.readouterr().err
+        written = [p.name for p in out.iterdir()] if out.exists() else []
+        assert set(written) <= {"resolved_config.json"}
+
+
 class TestEditedCheckpoint:
     """A checkpoint records its normalization scale for its readers; every
     command refuses one whose record disagrees with its weights."""

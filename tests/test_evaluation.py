@@ -190,6 +190,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep([(0.0, qam(4, 1e-3))], "ber", AWGN, 100, seed=0)
 
+    @pytest.mark.parametrize("metric", ["air", "ser"])
+    def test_constellation_for_ae_decoder_rejected(self, metric, monkeypatch):
+        # air and the ae detector read a trained decoder; a constellation
+        # has none, and is refused before any simulation
+        def no_propagate(*args, **kwargs):
+            pytest.fail("propagate ran on a source without a decoder")
+
+        monkeypatch.setattr("fiberae.evaluation.propagate", no_propagate)
+        model = build_model(4, AWGN, 1e-3, seed=0)
+        sources = [(-3.0, model), (0.0, qam(4, 1e-3))]
+        with pytest.raises(ValueError, match=r"trained model at \[0.0\] dBm"):
+            sweep(sources, metric, AWGN, 100, seed=0, detector="ae", threads=2)
+
     @pytest.mark.parametrize("metric", ["air", "ser", "mi"])
     def test_model_on_other_channel_rejected(self, metric, monkeypatch):
         # a model trained on NLPN must not be run on AWGN by one metric and

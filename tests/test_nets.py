@@ -23,9 +23,10 @@ from fiberae.nets import (
 
 
 def quadratic_loss(target):
+    """0.5 |out - target|^2 of a one-row batch, and its gradient."""
     def loss(out):
         d = out - target
-        return 0.5 * float(d @ d), d
+        return 0.5 * float(d[0] @ d[0]), d
 
     return loss
 
@@ -33,33 +34,48 @@ def quadratic_loss(target):
 class TestForward:
     def test_identity_linear_layer(self):
         net = DenseNetwork([DenseLayer(np.eye(4), np.zeros(4), "linear")])
-        v = np.array([1.0, -2.0, 3.0, 0.5])
+        v = np.array([[1.0, -2.0, 3.0, 0.5]])
         out, _ = forward(net, v)
         assert np.array_equal(out, v)
 
     def test_zero_tanh_layer(self):
         net = DenseNetwork([DenseLayer(np.zeros((3, 5)), np.zeros(5), "tanh")])
-        out, _ = forward(net, np.array([9.0, -4.0, 2.0]))
-        assert np.array_equal(out, np.zeros(5))
+        out, _ = forward(net, np.array([[9.0, -4.0, 2.0]]))
+        assert np.array_equal(out, np.zeros((1, 5)))
 
     def test_zero_sigmoid_layer(self):
         net = DenseNetwork([DenseLayer(np.zeros((3, 5)), np.zeros(5), "sigmoid")])
-        out, _ = forward(net, np.array([9.0, -4.0, 2.0]))
-        assert np.array_equal(out, np.full(5, 0.5))
+        out, _ = forward(net, np.array([[9.0, -4.0, 2.0]]))
+        assert np.array_equal(out, np.full((1, 5), 0.5))
 
     def test_batch_matches_vector(self):
         net = network([4, 8, 3], ["tanh", "sigmoid"], make_rng(0))
         xs = make_rng(1).standard_normal((6, 4))
         batch_out, _ = forward(net, xs)
         for i in range(6):
-            row_out, _ = forward(net, xs[i])
+            row_out, _ = forward(net, xs[i:i + 1])
             # BLAS may sum batched and single-row matmuls in different orders
-            assert np.allclose(batch_out[i], row_out, rtol=1e-13, atol=1e-15)
+            assert np.allclose(batch_out[i:i + 1], row_out, rtol=1e-13, atol=1e-15)
 
     def test_dimension_mismatch(self):
         net = network([4, 3], ["linear"], make_rng(0))
         with pytest.raises(ValueError):
-            forward(net, np.zeros(5))
+            forward(net, np.zeros((1, 5)))
+
+    def test_returns_every_activation(self):
+        # [input, layer 1 output, ..., output]: what backward reads
+        net = network([4, 8, 3], ["tanh", "sigmoid"], make_rng(0))
+        xs = make_rng(1).standard_normal((6, 4))
+        out, activations = forward(net, xs)
+        assert [a.shape for a in activations] == [(6, 4), (6, 8), (6, 3)]
+        assert np.array_equal(activations[0], xs)
+        assert activations[-1] is out
+
+    def test_single_vector_rejected(self):
+        # one sample is a batch of one row, (1, n_in)
+        net = network([4, 3], ["linear"], make_rng(0))
+        with pytest.raises(ValueError):
+            forward(net, np.zeros(4))
 
     def test_bad_chain_rejected(self):
         layers = [
@@ -75,32 +91,32 @@ class TestBackward:
         rng = make_rng(2)
         w = rng.standard_normal((4, 3))
         net = DenseNetwork([DenseLayer(w, np.zeros(3), "linear")])
-        x = rng.standard_normal(4)
-        _, cache = forward(net, x)
-        g = rng.standard_normal(3)
-        _, grad_in = backward(net, cache, g)
-        assert np.allclose(grad_in, w @ g, rtol=0, atol=0)
+        x = rng.standard_normal((1, 4))
+        _, activations = forward(net, x)
+        g = rng.standard_normal((1, 3))
+        _, grad_in = backward(net, activations, g)
+        assert np.allclose(grad_in, g @ w.T, rtol=0, atol=0)
 
     def test_zero_grad_output(self):
         net = network([4, 8, 4], ["tanh", "sigmoid"], make_rng(3))
-        _, cache = forward(net, np.ones(4))
-        grads, grad_in = backward(net, cache, np.zeros(4))
+        _, activations = forward(net, np.ones((1, 4)))
+        grads, grad_in = backward(net, activations, np.zeros((1, 4)))
         assert all(np.all(g == 0) for g in grads)
-        assert np.all(grad_in == 0)
+        assert grad_in.shape == (1, 4) and np.all(grad_in == 0)
 
     def test_three_layer_matches_finite_differences(self):
         rng = make_rng(4)
         net = network([4, 8, 4], ["tanh", "tanh"], rng)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         target = rng.standard_normal(4)
         assert grad_check(net, quadratic_loss(target), x) < 1e-6
 
     def test_stale_cache_rejected(self):
         net_a = network([4, 3], ["tanh"], make_rng(0))
         net_b = network([4, 5, 3], ["tanh", "tanh"], make_rng(0))
-        _, cache = forward(net_a, np.ones(4))
+        _, activations = forward(net_a, np.ones((1, 4)))
         with pytest.raises(ValueError):
-            backward(net_b, cache, np.zeros(3))
+            backward(net_b, activations, np.zeros((1, 3)))
 
 
 class TestCrossEntropy:
@@ -194,19 +210,19 @@ class TestGradCheck:
     def test_linear_quadratic_is_near_exact(self):
         rng = make_rng(9)
         net = network([5, 3], ["linear"], rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((1, 5))
         assert grad_check(net, quadratic_loss(rng.standard_normal(3)), x) <= 1e-9
 
     def test_random_tanh_net(self):
         rng = make_rng(10)
         net = network([4, 6, 6, 2], ["tanh", "tanh", "tanh"], rng)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         assert grad_check(net, quadratic_loss(rng.standard_normal(2)), x) <= 1e-6
 
     def test_single_neuron(self):
         rng = make_rng(11)
         net = network([1, 1], ["sigmoid"], rng)
-        assert grad_check(net, quadratic_loss(np.array([0.3])), np.array([0.7])) <= 1e-7
+        assert grad_check(net, quadratic_loss(np.array([0.3])), np.array([[0.7]])) <= 1e-7
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_architectures(self, seed):
@@ -216,6 +232,6 @@ class TestGradCheck:
         widths = [int(rng.integers(1, 33)) for _ in range(depth + 1)]
         acts = [str(rng.choice(["tanh", "sigmoid", "linear"])) for _ in range(depth)]
         net = network(widths, acts, rng)
-        x = rng.standard_normal(widths[0])
+        x = rng.standard_normal((1, widths[0]))
         target = rng.standard_normal(widths[-1])
         assert grad_check(net, quadratic_loss(target), x) <= 1e-5

@@ -8,9 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fiberae
+from fiberae.autoencoder import build_model, decode, detect
+from fiberae.channel import ChannelParams, make_rng, propagate
+from fiberae.evaluation import qam
+from fiberae.likelihood import build_oracle, likelihood, ml_detect
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +43,39 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fiberae.{mod}"), fn, None))
     ]
     assert spans.TRACED and missing == []
+
+
+def test_golden_names_thread_mismatches(monkeypatch):
+    # tools/golden.py fails when a file's digest depends on the thread count
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    same = {"t1/a.csv": "0", "t2/a.csv": "0", "t1/d/b.txt": "1", "t2/d/b.txt": "1"}
+    assert golden.thread_mismatches(same) == []
+    changed = dict(same, **{"t2/d/b.txt": "2", "t1/only.csv": "3"})
+    assert golden.thread_mismatches(changed) == ["d/b.txt", "only.csv"]
+
+
+AWGN = ChannelParams(gamma=0.0)
+
+# the functions that take received or sent samples, each on a fixed input
+BATCH_FUNCTIONS = {
+    "propagate": lambda y: propagate(y, AWGN, make_rng(0)),
+    "decode": lambda y: decode(build_model(4, AWGN, 1e-3, seed=0), y),
+    "detect": lambda y: detect(build_model(4, AWGN, 1e-3, seed=0), y),
+    "likelihood": lambda y: likelihood(build_oracle(qam(4, 1e-3), AWGN), 1, y),
+    "ml_detect": lambda y: ml_detect(build_oracle(qam(4, 1e-3), AWGN), y),
+}
+
+
+@pytest.mark.parametrize("name", BATCH_FUNCTIONS)
+def test_scalar_input_is_a_batch_of_one(name):
+    # batch in, batch out: a 0-d input gives the result of a one-row batch
+    fn = BATCH_FUNCTIONS[name]
+    out = fn(np.asarray(0.01 + 0.02j))
+    assert isinstance(out, np.ndarray) and out.shape[0] == 1
+    assert np.array_equal(out, fn(np.array([0.01 + 0.02j])))
 
 
 @pytest.mark.parametrize("demo", [

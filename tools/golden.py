@@ -9,6 +9,10 @@ OUT_DIR/t1 and OUT_DIR/t2.  It then prints one "sha256  relative/path" line
 per file written, sorted by path.  A change that promises byte-identical
 outputs is checked by running the script on the commit before it and on
 the change, and comparing the two listings with diff.
+
+Results must not depend on the thread count: when a file under t1/ and its
+counterpart under t2/ differ (or one is missing), the script names them on
+stderr after the listing and exits with status 1.
 """
 
 from __future__ import annotations
@@ -85,6 +89,12 @@ def run_set(out: Path, inputs: Path, threads: int) -> None:
             raise SystemExit(f"fiberae {' '.join(argv)} exited with {code}")
 
 
+def thread_mismatches(digests: dict[str, str]) -> list[str]:
+    """Paths, relative to t1/ and t2/, whose two digests differ or are not both there."""
+    runs = [{rel[3:]: d for rel, d in digests.items() if rel.startswith(f"t{t}/")} for t in (1, 2)]
+    return sorted(p for p in runs[0].keys() | runs[1].keys() if runs[0].get(p) != runs[1].get(p))
+
+
 def main_golden(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/golden.py OUT_DIR", file=sys.stderr)
@@ -99,10 +109,15 @@ def main_golden(argv: list[str]) -> int:
     (inputs / "overlay.csv").write_text(OVERLAY)
     for threads in (1, 2):
         run_set(top / f"t{threads}", inputs, threads)
+    digests = {}
     for path in sorted(p for p in top.rglob("*") if p.is_file() and inputs not in p.parents):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(top).as_posix()}")
-    return 0
+        rel = path.relative_to(top).as_posix()
+        digests[rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digests[rel]}  {rel}")
+    mismatches = thread_mismatches(digests)
+    for rel in mismatches:
+        print(f"t1/{rel} and t2/{rel} differ", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
