@@ -128,15 +128,21 @@ class PropagationTape:
     params: ChannelParams
 
 
-def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.ndarray:
-    """Draw the full (K, *shape) noise tensor for one propagation.
+def _noise(params: ChannelParams, shape, rng: np.random.Generator, segments: int) -> np.ndarray:
+    """A (segments, *shape) tensor of CN(0, P_N/K) noise.
 
-    Each entry is CN(0, P_N/K); real parts of a segment are drawn before
-    imaginary parts, the same stream layout `propagate` consumes.
+    Segments are drawn in order, each one's real parts before its imaginary
+    parts, so one call for K segments and K calls for one draw the same values.
     """
     scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    z = rng.standard_normal((params.segments, 2) + tuple(shape))
+    z = rng.standard_normal((segments, 2) + tuple(shape))
     return scale * (z[:, 0] + 1j * z[:, 1])
+
+
+def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.ndarray:
+    """Draw the full (K, *shape) noise tensor for one propagation: the values
+    `propagate` draws segment by segment from the same generator state."""
+    return _noise(params, shape, rng, params.segments)
 
 
 def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
@@ -163,9 +169,7 @@ def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     Noise is drawn segment by segment from `rng`; nothing is recorded.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
-    scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    noise = (scale * (rng.standard_normal(xs.shape) + 1j * rng.standard_normal(xs.shape))
-             for _ in range(params.segments))
+    noise = (_noise(params, xs.shape, rng, 1)[0] for _ in range(params.segments))
     return _recurse(xs, params.phase_rate, noise)
 
 

@@ -1,10 +1,11 @@
 """Command-line front end: one subcommand per experiment stage.
 
 Commands carry no hidden state between invocations; checkpoints are the
-only carrier.  Every output file starts with header comments (tool
-version, config hash, seed) and every output directory receives the fully
-resolved configuration, so identical invocations produce byte-identical
-results.
+only carrier.  A flag that sets a run value has the dest "block.key" of the
+config field it overrides; `load_config` checks it like a file value, and
+commands read the config only.  Each output file starts with header
+comments (tool version, config hash, seed), and the resolved config, flags
+included, is echoed beside it, so identical invocations give identical bytes.
 
 Subcommands: train, ser, air, mi, regions, gradcheck, export-constellation.
 """
@@ -86,23 +87,16 @@ def checkpoint_name(m: int, power_dbm: float) -> str:
 
 
 def _setup(args, out_field: str) -> tuple[RunConfig, Path]:
-    """The run's config and output directory, with the config echoed there.
-
-    out_field names the `paths` entry used when --out is not given.
-    """
-    config = load_config(args.config)
-    out_dir = Path(args.out or getattr(config.paths, out_field))
-    _echo_config(out_dir, config)
-    return config, out_dir
-
-
-def _echo_config(out_dir: Path, config: RunConfig) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(resolved_json(config))
+    """The config with every dotted-dest flag as an override, and the output directory."""
+    overrides = {k: v for k, v in vars(args).items() if "." in k and v is not None}
+    config = load_config(args.config, overrides)
+    return config, Path(args.out or getattr(config.paths, out_field))
 
 
 def _write_text(path: Path, config: RunConfig, seed: int, lines: list[str]) -> None:
-    """Header comments (tool version, config hash, seed), then the lines."""
+    """Write a header (version, config hash, seed) and lines; echo the config beside."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    (path.parent / "resolved_config.json").write_text(resolved_json(config))
     header = [
         f"# fiberae {__version__}",
         f"# config-hash: {config_hash(config)}",
@@ -164,9 +158,6 @@ def _resolve_sources(args, config: RunConfig) -> list[tuple[float, object]]:
     file is loaded once and serves only its own trained power, its default.
     """
     powers = _parse_powers(args)
-    # the exact oracle reads no --oracle-samples; it is checked as when it did
-    if args.detector == "ml" and args.oracle_samples and args.oracle_samples < 1000:
-        raise CliError("need at least 1000 samples per symbol")
     source = Path(args.source)
     if args.source == "qam":
         if args.detector == "ae":
@@ -197,7 +188,6 @@ def _layer_plan(model: AutoencoderModel) -> list:
 def cmd_train(args) -> int:
     power = _checked_power(float(args.power))
     config, out_dir = _setup(args, "checkpoints")
-    seed = args.seed if args.seed is not None else config.train.seed
     # the config's model; a warm start must match its layer plan
     model = build_model(
         config.model.m,
@@ -216,17 +206,17 @@ def cmd_train(args) -> int:
         model = warm
     train_config = TrainConfig(
         batch_size=config.batch_size(),
-        batches=args.batches if args.batches is not None else config.train.batches,
+        batches=config.train.batches,
         learning_rate=config.train.learning_rate,
-        seed=seed,
+        seed=config.train.seed,
         power_dbm=power,
     )
     result = train(model, train_config)
-    ckpt_path = out_dir / checkpoint_name(config.model.m, power)
-    save_checkpoint(model, ckpt_path, train_config)
     trace_path = out_dir / f"train_loss_m{config.model.m}_p{power:+.2f}dbm.csv"
     losses = [f"{i},{v}" for i, v in enumerate(result.losses)]
-    _write_text(trace_path, config, seed, ["batch,loss", *losses])
+    _write_text(trace_path, config, config.train.seed, ["batch,loss", *losses])
+    ckpt_path = out_dir / checkpoint_name(config.model.m, power)
+    save_checkpoint(model, ckpt_path, train_config)
     print(f"trained {ckpt_path} (final loss {result.losses[-1]:.6g}, "
           f"posterior floor hits {result.floor_hits})")
     return 0
@@ -237,8 +227,7 @@ def cmd_sweep(args) -> int:
     config, out_dir = _setup(args, "outputs")
     sources = _resolve_sources(args, config)
     extra = _overlay_rows(args.overlay) if args.overlay else []
-    seed = args.seed if args.seed is not None else config.eval.seed
-    n_samples = args.samples or config.eval.n_samples
+    seed, n_samples = config.eval.seed, config.eval.n_samples
     values = sweep(
         sources,
         args.command,
@@ -287,13 +276,11 @@ def _overlay_rows(overlay_path: str) -> list[str]:
 
 def cmd_regions(args) -> int:
     config, out_dir = _setup(args, "outputs")
-    seed = args.seed if args.seed is not None else config.eval.seed
     ((power, source),) = _resolve_sources(args, config)
     detector = detector_for(args.detector, source, config.channel.params())
 
-    half_width = args.half_width or config.eval.raster_half_width
-    if half_width is None:
-        half_width = 3.0 * float(np.sqrt(watts_from_dbm(power)))
+    # a configured half width is positive, so `or` only replaces None
+    half_width = config.eval.raster_half_width or 3.0 * float(np.sqrt(watts_from_dbm(power)))
     center = 0j
     if args.center is not None:
         try:
@@ -304,11 +291,11 @@ def cmd_regions(args) -> int:
     spec = RasterSpec(
         center=center,
         half_width=float(half_width),
-        resolution=args.resolution or config.eval.raster_resolution,
+        resolution=config.eval.raster_resolution,
     )
     grid = decision_regions(detector, spec)
     path = out_dir / f"regions_{args.detector}_p{power:+.2f}dbm.txt"
-    _write_text(path, config, seed, [
+    _write_text(path, config, config.eval.seed, [
         f"# window: center={spec.center.real},{spec.center.imag} "
         f"half_width={spec.half_width} (rows run along ascending imaginary part)",
         str(spec.resolution),
@@ -325,8 +312,7 @@ def cmd_regions(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config, out_dir = _setup(args, "outputs")
-    seed = args.seed if args.seed is not None else 0
-    report = run_all(seed=seed)
+    report = run_all(seed=args.seed)
     lines = []
     ok = True
     for name, err in report.items():
@@ -335,7 +321,7 @@ def cmd_gradcheck(args) -> int:
         line = f"{name}: max relative error {err:.3e} (tolerance {GRADCHECK_TOLERANCE:g}) {'PASS' if passed else 'FAIL'}"
         lines.append(line)
         print(line)
-    _write_text(out_dir / "gradcheck.txt", config, seed, lines)
+    _write_text(out_dir / "gradcheck.txt", config, args.seed, lines)
     return 0 if ok else 1
 
 
@@ -354,9 +340,10 @@ def cmd_export_constellation(args) -> int:
 # argument wiring
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=int, dest=seed,
+                   help=f"override config {seed}" if "." in seed else "seed (default 0)")
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                    help="worker threads for independent tasks (results do not depend on this)")
     p.add_argument("--out", help="output directory (overrides config paths)")
@@ -365,7 +352,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _add_sweep(p: argparse.ArgumentParser) -> None:
     p.add_argument("--power", type=float)
     p.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
-    p.add_argument("--samples", type=int, help="Monte Carlo samples per power")
+    p.add_argument("--samples", type=int, dest="eval.n_samples", help="Monte Carlo samples per power")
     p.set_defaults(func=cmd_sweep, overlay=None)
 
 
@@ -378,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train one model at one input power")
-    _add_common(p)
+    _add_common(p, seed="train.seed")
     p.add_argument("--power", type=float, required=True, help="input power in dBm")
-    p.add_argument("--batches", type=int, help="override config train.batches")
+    p.add_argument("--batches", type=int, dest="train.batches", help="override config train.batches")
     p.add_argument("--warm-start", help="checkpoint to initialize from")
     p.set_defaults(func=cmd_train)
 
@@ -389,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file/directory")
     p.add_argument("--detector", choices=("mindist", "ml", "ae"), default="mindist")
     _add_sweep(p)
-    p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
+    p.add_argument("--oracle-samples", type=int, dest="eval.oracle_samples", help="unused")
 
     p = sub.add_parser("air", help="decoder information rate of trained models")
     _add_common(p)
@@ -397,13 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="checkpoint file or directory")
     _add_sweep(p)
     p.add_argument("--overlay", help="external bound curves CSV merged into the output")
-    p.set_defaults(detector="ae", oracle_samples=None)
+    p.set_defaults(detector="ae")
 
     p = sub.add_parser("mi", help="oracle mutual information of a constellation")
     _add_common(p)
     p.add_argument("--source", required=True, help="'qam' or a checkpoint file/directory")
     _add_sweep(p)
-    p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
+    p.add_argument("--oracle-samples", type=int, dest="eval.oracle_samples", help="unused")
     p.set_defaults(detector="ml")
 
     p = sub.add_parser("regions", help="decision-region raster")
@@ -412,15 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=("ae", "ml", "mindist"), default="ae")
     p.add_argument("--power", type=float)
     p.add_argument("--center", help="window center as re,im (default 0,0)")
-    p.add_argument("--half-width", type=float, help="window half width in sqrt(W)")
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--oracle-samples", type=int, help="unused: the oracle is exact")
+    p.add_argument("--half-width", type=float, dest="eval.raster_half_width",
+                   help="window half width in sqrt(W)")
+    p.add_argument("--resolution", type=int, dest="eval.raster_resolution")
+    p.add_argument("--oracle-samples", type=int, dest="eval.oracle_samples", help="unused")
     p.add_argument("--ppm", action="store_true", help="also write a portable pixmap")
     p.set_defaults(func=cmd_regions, powers=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
-    _add_common(p)
-    p.set_defaults(func=cmd_gradcheck)
+    _add_common(p, seed="seed")
+    p.set_defaults(func=cmd_gradcheck, seed=0)
 
     p = sub.add_parser("export-constellation", help="dump a checkpoint's symbols as CSV")
     _add_common(p)
@@ -433,6 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error("--threads must be at least 1")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError, TrainingDivergedError) as exc:

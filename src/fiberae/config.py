@@ -103,15 +103,19 @@ class RunConfig:
         if self.model.m < 2:
             raise ConfigError("model.m must be at least 2")
         if self.model.tx_hidden_layers < 0 or self.model.rx_hidden_layers < 0:
-            raise ConfigError("hidden layer counts must be nonnegative")
+            raise ConfigError("model.tx_hidden_layers and rx_hidden_layers must be nonnegative")
         if self.model.hidden_width is not None and self.model.hidden_width < 1:
             raise ConfigError("model.hidden_width must be positive")
-        if not self.train.learning_rate >= 0 or self.train.batches < 1:
-            raise ConfigError("invalid train block")
+        if not self.train.learning_rate >= 0:
+            raise ConfigError("train.learning_rate must be nonnegative")
+        if self.train.batches < 1:
+            raise ConfigError("train.batches must be at least 1")
         if self.batch_size() % self.model.m != 0:
             raise ConfigError("train.batch_size must be a multiple of model.m")
-        if self.eval.n_samples < 1 or self.eval.oracle_samples < 1000:
-            raise ConfigError("invalid eval block")
+        if self.eval.n_samples < 1:
+            raise ConfigError("eval.n_samples must be at least 1")
+        if self.eval.oracle_samples < 1000:
+            raise ConfigError("eval.oracle_samples must be at least 1000")
         if self.eval.raster_resolution < 16:
             raise ConfigError("eval.raster_resolution must be at least 16")
         if self.eval.raster_half_width is not None and not self.eval.raster_half_width > 0:
@@ -157,20 +161,25 @@ def _build_block(cls, data: dict, name: str):
     return cls(**data)
 
 
-def load_config(path=None) -> RunConfig:
-    """Read and validate a config file; None gives the full defaults."""
-    if path is None:
-        return RunConfig().validate()
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+def load_config(path=None, overrides=None) -> RunConfig:
+    """Read a config file (None: all defaults), lay `overrides` ({"block.key":
+    value}) over it, and check the result; an override is checked as a file value."""
+    doc = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object of blocks")
-    unknown = set(doc) - set(_BLOCKS)
+    layered = {}
+    for dotted, value in (overrides or {}).items():
+        name, key = dotted.split(".")
+        layered.setdefault(name, {})[key] = value
+    unknown = (set(doc) | set(layered)) - set(_BLOCKS)
     if unknown:
         raise ConfigError(f"unknown config block(s): {sorted(unknown)}")
     kwargs = {}
@@ -178,7 +187,7 @@ def load_config(path=None) -> RunConfig:
         block = doc.get(name, {})
         if not isinstance(block, dict):
             raise ConfigError(f"config block {name!r} must be an object")
-        kwargs[name] = _build_block(cls, block, name)
+        kwargs[name] = _build_block(cls, {**block, **layered.get(name, {})}, name)
     return RunConfig(**kwargs).validate()
 
 

@@ -14,6 +14,8 @@ from the caller's seed.
 
 from __future__ import annotations
 
+import cmath
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -49,8 +51,11 @@ class RasterSpec:
     def __post_init__(self):
         if self.resolution < 16:
             raise ValueError("resolution must be at least 16")
-        if not self.half_width > 0:
-            raise ValueError("half_width must be positive")
+        # written so that NaN and infinity fail
+        if not 0 < self.half_width < math.inf:
+            raise ValueError("half_width must be finite and positive")
+        if not cmath.isfinite(self.center):
+            raise ValueError("center must be finite")
 
     def mesh(self):
         """(res, res) complex pixel centers; rows run along ascending imag."""

@@ -62,6 +62,41 @@ class TestConfig:
         assert resolved["channel"]["gamma"] == 0.0
         assert resolved["channel"]["link_length_km"] == 5000.0
         assert resolved["model"]["m"] == 4
+        # the echo is the config that ran: flags are overrides of its fields
+        assert resolved["eval"]["n_samples"] == 5000
+        assert resolved["eval"]["seed"] == 1
+
+
+class TestFlagOverrides:
+    """A flag that sets a run value overrides its config field and passes
+    the same checks as a value read from the config file."""
+
+    @pytest.mark.parametrize("argv, field", [
+        (("ser", "--source", "qam", "--power", "0", "--samples", "0"), "eval.n_samples"),
+        (("regions", "--source", "qam", "--detector", "mindist", "--power", "0",
+          "--resolution", "0"), "eval.raster_resolution"),
+        (("regions", "--source", "qam", "--detector", "mindist", "--power", "0",
+          "--half-width", "0"), "eval.raster_half_width"),
+        (("regions", "--source", "qam", "--detector", "mindist", "--power", "0",
+          "--half-width", "inf"), "eval.raster_half_width"),
+        (("ser", "--source", "qam", "--detector", "mindist", "--power", "0",
+          "--oracle-samples", "0"), "eval.oracle_samples"),
+        (("train", "--power", "0", "--batches", "0"), "train.batches"),
+    ], ids=["samples", "resolution", "half-width-0", "half-width-inf", "oracle-samples",
+            "batches"])
+    def test_bad_flag_rejected(self, tmp_path, awgn_config, capsys, argv, field):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", awgn_config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert not out.exists()
+
+    def test_export_records_flag_seed(self, tmp_path):
+        out = tmp_path / "out"
+        fixture = Path(__file__).resolve().parents[1] / "perfbench/fixture/ae_m16_p+0.00dbm.json"
+        assert run_cli("export-constellation", "--checkpoint", fixture, "--seed", "5",
+                       "--out", out) == 0
+        assert "# seed: 5" in (out / "constellation.csv").read_text().splitlines()
 
 
 def _config_docs():
@@ -488,6 +523,13 @@ class TestInputsResolvedFirst:
         assert exc.value.code == 2
         assert not out.exists() or list(out.glob("regions_*")) == []
 
+    def test_non_finite_center_rejected(self, tmp_path, awgn_config, capsys):
+        out = tmp_path / "out"
+        assert run_cli("regions", "--config", awgn_config, "--source", "qam", "--detector",
+                       "mindist", "--power", "0", "--center", "nan,0", "--out", out) == 1
+        assert "center" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPowerValues:
     """A power must be a finite dBm value whose power in watts is a finite
@@ -516,8 +558,7 @@ class TestPowerValues:
         argv = [a.format(ckpt=ckpt) for a in argv]
         assert run_cli(*argv, "--config", awgn_config, "--out", out, "--threads", "1") == 1
         assert "error:" in capsys.readouterr().err
-        written = [p.name for p in out.iterdir()] if out.exists() else []
-        assert set(written) <= {"resolved_config.json"}
+        assert not out.exists()
 
 
 class TestEditedCheckpoint:
@@ -548,7 +589,7 @@ class TestEditedCheckpoint:
         assert run_cli(*argv, trained, "--config", awgn_config, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "norm_scale" in err
-        assert [f.name for f in out.iterdir()] == ["resolved_config.json"]
+        assert not out.exists()
 
 
 class TestEntryPoint:
@@ -573,6 +614,24 @@ class TestEntryPoint:
                        "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [
+        ("train", "--power", "0"),
+        ("ser", "--source", "qam", "--power", "0"),
+        ("air", "--checkpoint", "x.json"),
+        ("mi", "--source", "qam", "--power", "0"),
+        ("regions", "--source", "qam", "--detector", "mindist", "--power", "0"),
+        ("gradcheck",),
+        ("export-constellation", "--checkpoint", "x.json"),
+    ], ids=lambda a: a[0])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, argv, threads):
+        # such a count used to run serially without a word
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--threads", threads, "--out", out)
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_missing_checkpoint_fails_cleanly(self, tmp_path, capsys):
         assert run_cli("export-constellation", "--checkpoint",

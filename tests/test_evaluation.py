@@ -156,6 +156,11 @@ class TestDecisionRegions:
             RasterSpec(half_width=1.0, resolution=8)
         with pytest.raises(ValueError):
             RasterSpec(half_width=0.0, resolution=32)
+        # an infinite or NaN window gave an all-zero raster
+        for window in (dict(half_width=math.inf), dict(half_width=math.nan),
+                       dict(center=complex(math.nan, 0.0)), dict(center=complex(0.0, math.inf))):
+            with pytest.raises(ValueError):
+                RasterSpec(**window)
 
 
 def qpsk_sources(powers):

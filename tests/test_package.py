@@ -14,6 +14,7 @@ import pytest
 import fiberae
 from fiberae.autoencoder import build_model, decode, detect
 from fiberae.channel import ChannelParams, make_rng, propagate
+from fiberae.cli import _setup, build_parser
 from fiberae.evaluation import qam
 from fiberae.likelihood import build_oracle, likelihood, ml_detect
 
@@ -43,6 +44,22 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fiberae.{mod}"), fn, None))
     ]
     assert spans.TRACED and missing == []
+
+
+def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
+    # the benchmark drives fiberae.cli.main with these command lines; a
+    # renamed or retired flag, or a flag value the config rejects, breaks it
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argvs = [workload.argv(call, 1, tmp_path / "out", 2, warmup)
+             for workload in workloads.WORKLOADS.values()
+             for call in workload.calls for warmup in (False, True)]
+    for argv in argvs:
+        _setup(build_parser().parse_args(argv), "outputs")
+    assert argvs and not (tmp_path / "out").exists()
 
 
 def test_golden_names_thread_mismatches(monkeypatch):
