@@ -8,9 +8,9 @@ The package provides, as plain numpy code:
                       cross-entropy, Adam, gradient checking),
 * ``autoencoder``  -- the trainable transmitter/channel/receiver stack with
                       power normalization and checkpointing,
-* ``likelihood``   -- the channel's exact per-symbol densities,
-                      maximum-likelihood detection, and mutual information
-                      estimation,
+* ``likelihood``   -- the channel's exact per-symbol log-densities
+                      (``log_densities``), maximum-likelihood detection,
+                      and mutual information estimation,
 * ``evaluation``   -- QAM baselines, symbol-error-rate and information-rate
                       measurement, decision-region rasters, power sweeps,
 * ``gradcheck``    -- finite-difference verification of every gradient path,

@@ -25,7 +25,7 @@ import numpy as np
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
 from fiberae.channel import ChannelParams, derived_seed, make_rng, propagate
 from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
-from fiberae.nets import CROSS_ENTROPY_FLOOR
+from fiberae.nets import cross_entropy
 
 __all__ = [
     "RasterSpec",
@@ -34,7 +34,6 @@ __all__ = [
     "detector_for",
     "ser",
     "air",
-    "air_from_posterior_mass",
     "decision_regions",
     "sweep",
 ]
@@ -56,6 +55,10 @@ class RasterSpec:
             raise ValueError("half_width must be finite and positive")
         if not cmath.isfinite(self.center):
             raise ValueError("center must be finite")
+        edges = [self.center.real - self.half_width, self.center.real + self.half_width,
+                 self.center.imag - self.half_width, self.center.imag + self.half_width]
+        if not all(map(math.isfinite, edges + [2.0 * self.half_width])):
+            raise ValueError(f"window {self.center:g} +- {self.half_width:g} overflows a double")
 
     def mesh(self):
         """(res, res) complex pixel centers; rows run along ascending imag."""
@@ -136,29 +139,19 @@ def ser(source, detector, params: ChannelParams, n_samples: int, seed: int) -> f
     return float(np.mean(detector(y) != msgs))
 
 
-def air_from_posterior_mass(mass_on_truth, m: int) -> float:
-    """log2(m) + mean log2 of the posterior mass on the true message.
-
-    The mass values lie in [0, 1] (floored like the training loss), so the
-    result never exceeds log2 m.
-    """
-    f = np.maximum(np.asarray(mass_on_truth, dtype=float), CROSS_ENTROPY_FLOOR)
-    return float(np.log2(m) + np.mean(np.log2(f)))
-
-
 def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
     """Achievable information rate of the model's own decoder, in bits.
 
-    Draws uniform messages, propagates with fresh noise, and evaluates the
-    decoder posterior at the true message.  This lower-bounds the mutual
-    information of the learned constellation.
+    Draws uniform messages, propagates with fresh noise, and scores the
+    decoder's posteriors with its training loss: log2 M minus the
+    cross-entropy in bits.  This auxiliary-channel rate lower-bounds the
+    mutual information of the learned constellation.
     """
     rng = make_rng(seed)
     points = constellation_points(model)
     msgs = rng.integers(0, model.m, size=n_samples)
     y = propagate(points[msgs], model.params, rng)
-    post = decode(model, y)
-    return air_from_posterior_mass(post[np.arange(n_samples), msgs], model.m)
+    return math.log2(model.m) - cross_entropy(decode(model, y), msgs)[0] / math.log(2.0)
 
 
 def decision_regions(detector, spec: RasterSpec) -> np.ndarray:

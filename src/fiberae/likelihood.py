@@ -37,8 +37,7 @@ A constellation is its points alone.  An oracle holds the constellation
 and channel it was built for, and `mutual_information` simulates exactly
 those, so the density it scores with and the channel it samples cannot
 disagree.  ML decisions and mutual information use log-densities, which
-stay finite where a density underflows a double; `likelihood` returns
-densities floored at the smallest normal double.
+stay finite where a density underflows a double.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ __all__ = [
     "Constellation",
     "LikelihoodOracle",
     "build_oracle",
-    "likelihood",
+    "log_densities",
     "ml_detect",
     "mutual_information",
 ]
@@ -200,32 +199,23 @@ def build_oracle(constellation: Constellation, params: ChannelParams) -> Likelih
     return LikelihoodOracle(constellation, params, densities)
 
 
-def likelihood(oracle: LikelihoodOracle, symbol: int, y) -> np.ndarray:
-    """Densities of the outputs y under the given symbol; strictly positive."""
-    if not 0 <= symbol < oracle.m:
-        raise IndexError(f"symbol {symbol} outside 0..{oracle.m - 1}")
+def log_densities(oracle: LikelihoodOracle, y) -> np.ndarray:
+    """(M, n) matrix of each symbol's log-density at the outputs y."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    d = oracle.densities[symbol]
-    rho = np.abs(y)
-    return np.maximum(np.exp(d.log_radial(rho) + d.log_profile(rho, np.angle(y))), DENSITY_FLOOR)
-
-
-def _log_density_matrix(oracle: LikelihoodOracle, y: np.ndarray) -> np.ndarray:
-    """(M, n) matrix of per-symbol log-densities at the query points."""
     rho, phase = np.abs(y), np.angle(y)
     out = np.empty((oracle.m,) + y.shape)
-    radial = {}  # once per ring: its symbols share the grid
+    lead = {}  # each ring's first symbol; the others copy its radial row
     for s, d in enumerate(oracle.densities):
-        if id(d.grid) not in radial:
-            radial[id(d.grid)] = d.log_radial(rho)
-        out[s] = radial[id(d.grid)] + d.log_profile(rho, phase)
+        first = lead.setdefault(id(d.grid), s)
+        out[s] = out[first] if first < s else d.log_radial(rho)
+    for s, d in enumerate(oracle.densities):
+        out[s] += d.log_profile(rho, phase)
     return out
 
 
 def ml_detect(oracle: LikelihoodOracle, y) -> np.ndarray:
     """Most likely symbol for each sample; ties break to the lowest index."""
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    return np.argmax(_log_density_matrix(oracle, y), axis=0)
+    return np.argmax(log_densities(oracle, y), axis=0)
 
 
 def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
@@ -240,7 +230,7 @@ def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) 
     rng = make_rng((seed, 2))
     msgs = rng.integers(0, oracle.m, size=n_samples)
     y = propagate(oracle.constellation.points[msgs], oracle.params, rng)
-    dens = _log_density_matrix(oracle, y)
+    dens = log_densities(oracle, y)
     own = dens[msgs, np.arange(n_samples)]
     # log of the mixture, in place: the matrix is the largest array here
     peak = dens.max(axis=0)

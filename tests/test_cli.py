@@ -530,6 +530,15 @@ class TestInputsResolvedFirst:
         assert "center" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_window_rejected(self, tmp_path, awgn_config, capsys):
+        # finite center and half width whose edges overflow gave an all-zero raster
+        out = tmp_path / "out"
+        assert run_cli("regions", "--config", awgn_config, "--source", "qam", "--detector",
+                       "mindist", "--power", "0", "--half-width", "1e308", "--center", "1e308,0",
+                       "--resolution", "16", "--out", out) == 1
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPowerValues:
     """A power must be a finite dBm value whose power in watts is a finite

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -16,7 +17,7 @@ from fiberae.autoencoder import build_model, decode, detect
 from fiberae.channel import ChannelParams, make_rng, propagate
 from fiberae.cli import _setup, build_parser
 from fiberae.evaluation import qam
-from fiberae.likelihood import build_oracle, likelihood, ml_detect
+from fiberae.likelihood import build_oracle, log_densities, ml_detect
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,12 +63,33 @@ def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
     assert argvs and not (tmp_path / "out").exists()
 
 
-def test_golden_names_thread_mismatches(monkeypatch):
-    # tools/golden.py fails when a file's digest depends on the thread count
+@pytest.fixture
+def golden(monkeypatch):
+    """tools/golden.py as a module."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
     spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
-    golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(golden)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_commands_parse(golden, tmp_path):
+    # the refactor contract's command set; a renamed or retired flag, or a
+    # flag value the config rejects, would otherwise fail only a golden run
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "gamma0.json").write_text(json.dumps(golden.GAMMA0_CONFIG))
+    out = tmp_path / "out"
+    fill = {"ckpt": out / "ckpt" / "ae_m4_p-3.00dbm.json", "dir": out / "ckpt"}
+    cmds = golden.commands(inputs)
+    for sub, argv in cmds:
+        argv = [str(a).format(**fill) for a in argv] + ["--threads", "2", "--out", str(out / sub)]
+        _setup(build_parser().parse_args(argv), "outputs")
+    assert cmds and not out.exists()
+
+
+def test_golden_names_thread_mismatches(golden):
+    # tools/golden.py fails when a file's digest depends on the thread count
     same = {"t1/a.csv": "0", "t2/a.csv": "0", "t1/d/b.txt": "1", "t2/d/b.txt": "1"}
     assert golden.thread_mismatches(same) == []
     changed = dict(same, **{"t2/d/b.txt": "2", "t1/only.csv": "3"})
@@ -81,7 +103,7 @@ BATCH_FUNCTIONS = {
     "propagate": lambda y: propagate(y, AWGN, make_rng(0)),
     "decode": lambda y: decode(build_model(4, AWGN, 1e-3, seed=0), y),
     "detect": lambda y: detect(build_model(4, AWGN, 1e-3, seed=0), y),
-    "likelihood": lambda y: likelihood(build_oracle(qam(4, 1e-3), AWGN), 1, y),
+    "log_densities": lambda y: log_densities(build_oracle(qam(4, 1e-3), AWGN), y)[1],
     "ml_detect": lambda y: ml_detect(build_oracle(qam(4, 1e-3), AWGN), y),
 }
 
