@@ -94,12 +94,14 @@ def _setup(args, out_field: str) -> tuple[RunConfig, Path]:
 
 
 def _write_text(path: Path, config: RunConfig, seed: int, lines: list[str]) -> None:
-    """Write a header (version, config hash, seed) and lines; echo the config beside."""
+    """Write a header (version, config hash, seed) and lines; echo the config
+    beside as config-<hash>.json."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    (path.parent / "resolved_config.json").write_text(resolved_json(config))
+    digest = config_hash(config)
+    (path.parent / f"config-{digest}.json").write_text(resolved_json(config))
     header = [
         f"# fiberae {__version__}",
-        f"# config-hash: {config_hash(config)}",
+        f"# config-hash: {digest}",
         f"# seed: {seed}",
     ]
     path.write_text("\n".join(header + lines) + "\n")

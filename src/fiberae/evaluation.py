@@ -147,6 +147,8 @@ def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
     cross-entropy in bits.  This auxiliary-channel rate lower-bounds the
     mutual information of the learned constellation.
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     rng = make_rng(seed)
     points = constellation_points(model)
     msgs = rng.integers(0, model.m, size=n_samples)

@@ -30,8 +30,9 @@ exact only to about 1e-16 of its scale, so the profile is floored at the
 smallest normal double.
 
 Rings.  The noise is circularly symmetric, so turning the input turns the
-output law: the points of exactly equal |x| share one grid, turned by each
-symbol's phase.
+output law.  An oracle holds one law per distinct |x| and the index of each
+symbol's ring; a symbol's density is its ring's law turned by the phase of
+its point.
 
 A constellation is its points alone.  An oracle holds the constellation
 and channel it was built for, and `mutual_information` simulates exactly
@@ -43,7 +44,7 @@ stay finite where a density underflows a double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0e, ive
@@ -112,12 +113,11 @@ def _log_modes(law, m: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _SymbolDensity:
-    """Exact output law of one symbol, its angular profile gridded.
+class _RingDensity:
+    """Exact output law of the input |x| + 0j, its angular profile gridded.
 
     a_0(r) = exp(log_a0 - alpha0 r^2) I_0(beta0 r), and grid[i, k] is the
-    profile at r_lo + i dr and theta = phase - shift[i] + 2 pi k / n_theta.
-    The symbols of a ring differ only in `phase`.
+    profile at r_lo + i dr and theta = -shift[i] + 2 pi k / n_theta.
     """
 
     log_a0: float
@@ -127,7 +127,6 @@ class _SymbolDensity:
     r_lo: float
     dr: float
     shift: np.ndarray
-    phase: float = 0.0
 
     def log_radial(self, r: np.ndarray) -> np.ndarray:
         z = self.beta0 * r
@@ -139,7 +138,7 @@ class _SymbolDensity:
         i = np.minimum(a.astype(int), n_r - 2)
         fa = a - i
         shift = self.shift[i] + fa * (self.shift[i + 1] - self.shift[i])
-        b = np.mod((theta - self.phase + shift) * (n_t / (2.0 * np.pi)), n_t)
+        b = np.mod((theta + shift) * (n_t / (2.0 * np.pi)), n_t)
         j = b.astype(int)
         fb = b - j
         j %= n_t  # np.mod can round up to n_t itself
@@ -151,7 +150,7 @@ class _SymbolDensity:
         )
 
 
-def _ring_density(rho0: float, params: ChannelParams) -> _SymbolDensity:
+def _ring_density(rho0: float, params: ChannelParams) -> _RingDensity:
     """The law of the input rho0 + 0j, gridded."""
     sigma = math.sqrt(params.noise_power_w / 2.0)
     r_lo = max(rho0 - RADIAL_SPAN * sigma, 0.0)
@@ -173,15 +172,16 @@ def _ring_density(rho0: float, params: ChannelParams) -> _SymbolDensity:
     if not np.isfinite(profile).all():  # ive is NaN beyond |z| = 2^30
         raise ValueError(f"signal-to-noise ratio too large for the exact law at |x| = {rho0:g}")
     log_a0, alpha0, beta0 = (float(v[0].real) for v in law)
-    return _SymbolDensity(log_a0, alpha0, beta0, np.maximum(profile, DENSITY_FLOOR),
-                          r_lo, float(r[1] - r[0]), shift)
+    return _RingDensity(log_a0, alpha0, beta0, np.maximum(profile, DENSITY_FLOOR),
+                        r_lo, float(r[1] - r[0]), shift)
 
 
 @dataclass
 class LikelihoodOracle:
     constellation: Constellation
     params: ChannelParams
-    densities: list[_SymbolDensity]
+    densities: list[_RingDensity]  # one per distinct |x|, in increasing order
+    ring_of: np.ndarray  # the index in densities of each symbol's ring
 
     @property
     def m(self) -> int:
@@ -192,24 +192,20 @@ def build_oracle(constellation: Constellation, params: ChannelParams) -> Likelih
     """Exact per-symbol output densities, one grid per amplitude ring."""
     if params.noise_power_w == 0:
         raise ValueError("a noiseless channel has no output density")
-    points = constellation.points
-    amplitudes, ring_of = np.unique(np.abs(points), return_inverse=True)
-    rings = [_ring_density(float(a), params) for a in amplitudes]
-    densities = [replace(rings[r], phase=float(t)) for r, t in zip(ring_of, np.angle(points))]
-    return LikelihoodOracle(constellation, params, densities)
+    amplitudes, ring_of = np.unique(np.abs(constellation.points), return_inverse=True)
+    densities = [_ring_density(float(a), params) for a in amplitudes]
+    return LikelihoodOracle(constellation, params, densities, ring_of)
 
 
 def log_densities(oracle: LikelihoodOracle, y) -> np.ndarray:
     """(M, n) matrix of each symbol's log-density at the outputs y."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    rho, phase = np.abs(y), np.angle(y)
+    rho, theta = np.abs(y), np.angle(y)
     out = np.empty((oracle.m,) + y.shape)
-    lead = {}  # each ring's first symbol; the others copy its radial row
-    for s, d in enumerate(oracle.densities):
-        first = lead.setdefault(id(d.grid), s)
-        out[s] = out[first] if first < s else d.log_radial(rho)
-    for s, d in enumerate(oracle.densities):
-        out[s] += d.log_profile(rho, phase)
+    for ring, d in enumerate(oracle.densities):
+        out[oracle.ring_of == ring] = d.log_radial(rho)
+    for s, phase in enumerate(np.angle(oracle.constellation.points)):
+        out[s] += oracle.densities[oracle.ring_of[s]].log_profile(rho, theta - phase)
     return out
 
 
@@ -227,6 +223,8 @@ def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) 
     density serves numerator and denominator, so each term is at most
     log2 M; negative estimates are Monte Carlo noise and clamp to 0.
     """
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
     rng = make_rng((seed, 2))
     msgs = rng.integers(0, oracle.m, size=n_samples)
     y = propagate(oracle.constellation.points[msgs], oracle.params, rng)

@@ -41,8 +41,6 @@ __all__ = [
     "network",
 ]
 
-ACTIVATIONS = ("tanh", "sigmoid", "linear")
-
 # Floor applied to posteriors inside log(); keeps -log finite.
 CROSS_ENTROPY_FLOOR = 1e-12
 
@@ -62,24 +60,12 @@ def _sigmoid(z):
     return out
 
 
-def _apply_activation(kind, z):
-    if kind == "tanh":
-        return np.tanh(z)
-    if kind == "sigmoid":
-        return _sigmoid(z)
-    if kind == "linear":
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
-
-
-def _activation_deriv_from_output(kind, a):
-    if kind == "tanh":
-        return 1.0 - a * a
-    if kind == "sigmoid":
-        return a * (1.0 - a)
-    if kind == "linear":
-        return np.ones_like(a)
-    raise ValueError(f"unknown activation {kind!r}")
+# name: (activation of z, its derivative from the activation's output a)
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda a: 1.0 - a * a),
+    "sigmoid": (_sigmoid, lambda a: a * (1.0 - a)),
+    "linear": (lambda z: z, np.ones_like),
+}
 
 
 @dataclass
@@ -165,7 +151,7 @@ def forward(net: DenseNetwork, x) -> tuple[np.ndarray, list[np.ndarray]]:
         raise ValueError(f"input has shape {a.shape}, network expects (n, {net.n_in})")
     activations = [a]
     for layer in net.layers:
-        a = _apply_activation(layer.activation, a @ layer.weights + layer.biases)
+        a = ACTIVATIONS[layer.activation][0](a @ layer.weights + layer.biases)
         activations.append(a)
     return a, activations
 
@@ -184,7 +170,7 @@ def backward(net: DenseNetwork, activations: list[np.ndarray], grad_output) -> t
         raise ValueError("grad_output shape does not match the forward output")
     param_grads: list[np.ndarray] = []
     for layer, a_in, a_out in reversed(list(zip(net.layers, activations, activations[1:]))):
-        delta = g * _activation_deriv_from_output(layer.activation, a_out)
+        delta = g * ACTIVATIONS[layer.activation][1](a_out)
         param_grads[:0] = [a_in.T @ delta, delta.sum(axis=0)]
         g = delta @ layer.weights.T
     return param_grads, g

@@ -40,6 +40,13 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def echoed_config(path: Path) -> dict:
+    """The config echo named by a result file's `# config-hash:` line."""
+    digest = next(line.split(": ")[1] for line in path.read_text().splitlines()
+                  if line.startswith("# config-hash: "))
+    return json.loads((path.parent / f"config-{digest}.json").read_text())
+
+
 class TestConfig:
     def test_unknown_block_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -58,7 +65,7 @@ class TestConfig:
         assert run_cli("ser", "--config", awgn_config, "--source", "qam",
                        "--power", "-10", "--samples", "5000",
                        "--out", out, "--seed", "1") == 0
-        resolved = json.loads((out / "resolved_config.json").read_text())
+        resolved = echoed_config(out / "ser_qam_mindist.csv")
         assert resolved["channel"]["gamma"] == 0.0
         assert resolved["channel"]["link_length_km"] == 5000.0
         assert resolved["model"]["m"] == 4
@@ -315,6 +322,18 @@ class TestTrainAndExport:
                        "--warm-start", out / "ae_m4_p-3.00dbm.json",
                        "--out", out, "--seed", "4") == 0
         assert (out / "ae_m4_p-2.00dbm.json").is_file()
+
+    def test_shared_out_keeps_each_config_echo(self, tmp_path, awgn_config):
+        # two runs into one directory: each loss trace's hash names the echo
+        # of its own run, not of the last run
+        out = tmp_path / "out"
+        for power, seed in (("-3", 3), ("-2", 4)):
+            assert run_cli("train", "--config", awgn_config, "--power", power,
+                           "--out", out, "--seed", seed) == 0
+        for power, seed in (("-3", 3), ("-2", 4)):
+            trace = out / f"train_loss_m4_p{float(power):+.2f}dbm.csv"
+            assert echoed_config(trace)["train"]["seed"] == seed
+        assert len(list(out.glob("config-*.json"))) == 2
 
 
 class TestSer:

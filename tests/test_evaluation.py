@@ -17,10 +17,24 @@ from fiberae.evaluation import (
     ser,
     sweep,
 )
-from fiberae.likelihood import Constellation
+from fiberae.likelihood import Constellation, build_oracle, mutual_information
 
 AWGN = ChannelParams(gamma=0.0)
 NLPN = ChannelParams()
+
+# each Monte-Carlo estimate, as a function of its sample count
+ESTIMATES = {
+    "ser": lambda n: ser(qam(16, 1e-3), min_distance_detector(qam(16, 1e-3)), AWGN, n, seed=0),
+    "air": lambda n: air(build_model(4, AWGN, 1e-3, seed=0), n, seed=1),
+    "mutual_information": lambda n: mutual_information(build_oracle(qam(16, 1e-3), NLPN), n, 1),
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATES)
+def test_estimate_rejects_zero_samples(name):
+    # with no samples the mean is NaN, which the MI clamp at 0 would hide
+    with pytest.raises(ValueError, match="at least one sample"):
+        ESTIMATES[name](0)
 
 
 class TestQam:

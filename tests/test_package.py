@@ -14,7 +14,7 @@ import pytest
 
 import fiberae
 from fiberae.autoencoder import build_model, decode, detect
-from fiberae.channel import ChannelParams, make_rng, propagate
+from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
 from fiberae.cli import _setup, build_parser
 from fiberae.evaluation import qam
 from fiberae.likelihood import build_oracle, log_densities, ml_detect
@@ -45,6 +45,21 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(getattr(importlib.import_module(f"fiberae.{mod}"), fn, None))
     ]
     assert spans.TRACED and missing == []
+
+
+def test_oracle_counter_counts_each_grid_once(monkeypatch):
+    # the benchmark's grid-cell figure is the work an oracle build does: each
+    # amplitude ring's grid once, not once for every symbol on the ring
+    path = ROOT / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    (count,) = [c for mod, fn, c in spans.TRACED if (mod, fn) == ("likelihood", "build_oracle")]
+    oracle = build_oracle(qam(16, watts_from_dbm(5.0)), ChannelParams())
+    grids = {id(d.grid): d.grid.size for d in oracle.densities}
+    assert len(grids) == 3
+    assert count((), {}, oracle)["cells"] == sum(grids.values()) == 33_408
 
 
 def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
