@@ -59,27 +59,27 @@ def _checked_power(p_dbm: float) -> float:
 
 
 def _parse_powers(args) -> list[float]:
-    if args.powers is not None:
-        try:
-            start, step, stop = (float(f) for f in args.powers.split(":"))
-        except ValueError as exc:
-            raise CliError(f"--powers must be start:step:stop, got {args.powers!r}") from exc
-        if not all(math.isfinite(v) for v in (start, step, stop)):
-            raise CliError(f"--powers fields must be finite, got {args.powers!r}")
-        if step <= 0:
-            raise CliError("--powers step must be positive")
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            # the cap also ends a sweep whose step is below the resolution of v
-            if len(out) == MAX_SWEEP_POINTS:
-                raise CliError(f"--powers {args.powers} gives more than {MAX_SWEEP_POINTS} points")
-            out.append(_checked_power(round(v, 10) + 0.0))
-            v += step
-        return out
-    if args.power is not None:
-        return [_checked_power(float(args.power))]
-    return []
+    if args.powers is None:
+        return [] if args.power is None else [_checked_power(float(args.power))]
+    try:
+        start, step, stop = (float(f) for f in args.powers.split(":"))
+    except ValueError as exc:
+        raise CliError(f"--powers must be start:step:stop, got {args.powers!r}") from exc
+    if not all(math.isfinite(v) for v in (start, step, stop)):
+        raise CliError(f"--powers fields must be finite, got {args.powers!r}")
+    if step <= 0:
+        raise CliError("--powers step must be positive")
+    out = []
+    v = start
+    while v <= stop + 1e-9:
+        # the cap also ends a sweep whose step is below the resolution of v
+        if len(out) == MAX_SWEEP_POINTS:
+            raise CliError(f"--powers {args.powers} gives more than {MAX_SWEEP_POINTS} points")
+        out.append(_checked_power(round(v, 10) + 0.0))
+        v += step
+    if not out:
+        raise CliError(f"--powers {args.powers} gives no power: its start is above its stop")
+    return out
 
 
 def checkpoint_name(m: int, power_dbm: float) -> str:
@@ -251,7 +251,7 @@ def cmd_sweep(args) -> int:
 
 
 def _overlay_rows(overlay_path: str) -> list[str]:
-    """Pass external bound curves through into the output CSV, unmodified."""
+    """External bound curves for the output CSV; 3-field rows get n_samples,seed 0,0."""
     path = Path(overlay_path)
     if not path.is_file():
         raise CliError(f"overlay file {path} does not exist")
@@ -263,16 +263,13 @@ def _overlay_rows(overlay_path: str) -> list[str]:
         parts = stripped.split(",")
         if parts[0] == "power_dbm":
             continue
-        if len(parts) < 3:
-            raise CliError(f"overlay row needs power_dbm,metric,value: {line!r}")
         try:
-            float(parts[0])
-            float(parts[2])
-        except ValueError as exc:
-            raise CliError(f"unparseable overlay row {line!r}") from exc
-        while len(parts) < 5:
-            parts.append("0")
-        rows.append(",".join(parts[:5]))
+            ok = len(parts) in (3, 5) and all(math.isfinite(float(parts[k])) for k in (0, 2))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise CliError(f"overlay row needs finite power_dbm,metric,value[,n_samples,seed]: {line!r}")
+        rows.append(stripped if len(parts) == 5 else stripped + ",0,0")
     return rows
 
 
@@ -352,8 +349,9 @@ def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
 
 
 def _add_sweep(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--power", type=float)
-    p.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
+    power = p.add_mutually_exclusive_group()
+    power.add_argument("--power", type=float)
+    power.add_argument("--powers", help="start:step:stop in dBm (use --powers=-15:1:10 for negative starts)")
     p.add_argument("--samples", type=int, dest="eval.n_samples", help="Monte Carlo samples per power")
     p.set_defaults(func=cmd_sweep, overlay=None)
 

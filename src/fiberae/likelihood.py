@@ -36,9 +36,9 @@ its point.
 
 A constellation is its points alone.  An oracle holds the constellation
 and channel it was built for, and `mutual_information` simulates exactly
-those, so the density it scores with and the channel it samples cannot
-disagree.  ML decisions and mutual information use log-densities, which
-stay finite where a density underflows a double.
+those, so its density and channel cannot disagree; it is log2 M less the
+mean entropy of the exact posterior.  ML decisions and mutual information
+use log-densities, which stay finite where a density underflows a double.
 """
 
 from __future__ import annotations
@@ -217,11 +217,10 @@ def ml_detect(oracle: LikelihoodOracle, y) -> np.ndarray:
 def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
     """Monte-Carlo mutual information in bits of the oracle's constellation.
 
-    Draws (x_i, y_i) with uniform messages and fresh noise of the oracle's
-    channel from the stream (seed, 2), then averages log2 of the ratio
-    between p(y_i | x_i) and the uniform mixture over all symbols.  The same
-    density serves numerator and denominator, so each term is at most
-    log2 M; negative estimates are Monte Carlo noise and clamp to 0.
+    log2 M minus the mean entropy of the exact posterior p(. | y_i) over
+    outputs y_i of uniform messages, drawn with the oracle's channel from the
+    stream (seed, 2): `evaluation.air` with p for the decoder's posterior,
+    averaged over the message instead of read at the one sent.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -229,11 +228,13 @@ def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) 
     msgs = rng.integers(0, oracle.m, size=n_samples)
     y = propagate(oracle.constellation.points[msgs], oracle.params, rng)
     dens = log_densities(oracle, y)
-    own = dens[msgs, np.arange(n_samples)]
-    # log of the mixture, in place: the matrix is the largest array here
-    peak = dens.max(axis=0)
-    dens -= peak
-    np.exp(dens, out=dens)
-    mix = np.log(dens.mean(axis=0)) + peak
-    est = float(np.mean(own - mix)) / math.log(2.0)
-    return max(0.0, est)
+    # H = log sum e - sum e d / sum e over s, where d is the log-density less
+    # its peak and e = exp(d); row by row, as the matrix is the largest array
+    dens -= dens.max(axis=0)
+    total = weighted = 0.0
+    for d in dens:
+        e = np.exp(d)
+        total += e
+        weighted += e * d
+    entropy = np.log(total) - weighted / total
+    return float(np.mean(math.log2(oracle.m) - entropy / math.log(2.0)))

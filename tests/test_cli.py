@@ -588,6 +588,71 @@ class TestPowerValues:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("ser", "--source", "qam", "--power", "0", "--powers=-2:1:-1"),
+        ("mi", "--source", "qam", "--powers=-2:1:-1", "--power", "0"),
+        ("air", "--checkpoint", "{ckpt}", "--power", "-3", "--powers=-3:1:-3"),
+    ], ids=lambda a: a[0])
+    def test_power_and_powers_conflict(self, tmp_path, awgn_config, ckpt, capsys, argv):
+        # ser used to drop --power without a word
+        out = tmp_path / "out"
+        argv = [a.format(ckpt=ckpt) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--config", awgn_config, "--out", out, "--threads", "1")
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("ser", "--source", "qam", "--powers=5:1:0"),
+        ("mi", "--source", "qam", "--powers=5:1:0"),
+        # a checkpoint file would fall back to its own power
+        ("air", "--checkpoint", "{ckpt}", "--powers=5:1:0"),
+    ], ids=lambda a: a[0])
+    def test_empty_powers_range_rejected(self, tmp_path, awgn_config, ckpt, capsys, argv):
+        out = tmp_path / "out"
+        argv = [a.format(ckpt=ckpt) for a in argv]
+        assert run_cli(*argv, "--config", awgn_config, "--out", out, "--threads", "1") == 1
+        assert "--powers 5:1:0 gives no power" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOverlayRows:
+    @pytest.fixture
+    def ckpt(self, tmp_path, awgn_config):
+        out = tmp_path / "ckpt"
+        assert run_cli("train", "--config", awgn_config, "--power", "-3",
+                       "--batches", "2", "--out", out, "--seed", "3") == 0
+        return out / "ae_m4_p-3.00dbm.json"
+
+    def air_with_overlay(self, tmp_path, awgn_config, ckpt, rows: str) -> int:
+        overlay = tmp_path / "bounds.csv"
+        overlay.write_text(f"power_dbm,metric,value\n{rows}\n")
+        return run_cli("air", "--config", awgn_config, "--checkpoint", ckpt, "--samples", "1000",
+                       "--overlay", overlay, "--out", tmp_path / "out", "--threads", "1")
+
+    def test_three_fields_padded_five_kept(self, tmp_path, awgn_config, ckpt):
+        rows = "-3.0,upper_bound,1.9\n-2.0,lower_bound,1.7,10,3"
+        assert self.air_with_overlay(tmp_path, awgn_config, ckpt, rows) == 0
+        lines = (tmp_path / "out" / "air.csv").read_text().splitlines()
+        assert lines[-2:] == ["-3.0,upper_bound,1.9,0,0", "-2.0,lower_bound,1.7,10,3"]
+
+    @pytest.mark.parametrize("row", [
+        "2,ub,inf,1",  # four fields
+        "2,ub,1,2,3,4",
+        "2,ub,inf,1,2,3,4",  # was cut to its first five fields
+        "nan,ub,1",
+        "1,ub,nan",
+        "1,ub,-inf",
+        "inf,ub,1,10,3",
+        "x,ub,1",
+        "1,ub",
+    ])
+    def test_rejected(self, tmp_path, awgn_config, ckpt, capsys, row):
+        assert self.air_with_overlay(tmp_path, awgn_config, ckpt, row) == 1
+        assert "overlay row" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEditedCheckpoint:
     """A checkpoint records its normalization scale for its readers; every

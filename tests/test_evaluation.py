@@ -32,7 +32,7 @@ ESTIMATES = {
 
 @pytest.mark.parametrize("name", ESTIMATES)
 def test_estimate_rejects_zero_samples(name):
-    # with no samples the mean is NaN, which the MI clamp at 0 would hide
+    # with no samples every estimate would be the NaN mean of an empty array
     with pytest.raises(ValueError, match="at least one sample"):
         ESTIMATES[name](0)
 

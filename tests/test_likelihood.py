@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from scipy.special import logsumexp
 from scipy.stats import kstest, rice
 
 from awgn_reference import awgn_mutual_information_bits
+from fiberae.autoencoder import constellation_points, decode, load_checkpoint
 from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
 from fiberae.evaluation import qam, ser
 from fiberae.likelihood import (
@@ -37,6 +39,20 @@ AWGN = ChannelParams(gamma=0.0)
 NLPN = ChannelParams()
 SIGMA = math.sqrt(AWGN.noise_power_w / 2.0)  # per-component noise std
 P5 = watts_from_dbm(5.0)
+FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixture" / "ae_m16_p+0.00dbm.json"
+
+
+def fixture_constellation() -> Constellation:
+    """The benchmark checkpoint's 16 symbols at 0 dBm; it was trained on NLPN."""
+    return Constellation(points=constellation_points(load_checkpoint(FIXTURE)))
+
+
+def mi_draws(oracle, n: int, seed: int):
+    """The outputs, messages and log-densities that `mutual_information` scores."""
+    rng = make_rng((seed, 2))
+    msgs = rng.integers(0, oracle.m, size=n)
+    y = propagate(oracle.constellation.points[msgs], oracle.params, rng)
+    return y, msgs, log_densities(oracle, y)
 
 
 def mesh_offsets(half_width: float, n: int) -> np.ndarray:
@@ -111,15 +127,21 @@ class TestBuild:
             assert integral == pytest.approx(1.0, abs=1e-3)
 
     def test_crescent_integrates_to_one(self):
-        # 16-QAM at 5 dBm under NLPN, each ring on a polar mesh
+        # 16-QAM at 5 dBm under NLPN, each ring on a polar mesh; a symbol's
+        # row is read from an oracle of two copies of it on its ring's law,
+        # which gives the 16-symbol oracle's row bit for bit
         const = qam(16, P5)
         oracle = build_oracle(const, NLPN)
         theta = np.linspace(-np.pi, np.pi, 4096, endpoint=False)
         for i in np.unique(np.abs(const.points), return_index=True)[1]:
+            pair = LikelihoodOracle(Constellation(points=const.points[[i, i]]), NLPN,
+                                    [oracle.densities[oracle.ring_of[i]]], np.array([0, 0]))
             rho0 = abs(const.points[i])
             r = np.linspace(max(rho0 - 10.0 * SIGMA, 0.0), rho0 + 10.0 * SIGMA, 801)
             mesh = r[:, None] * np.exp(1j * theta[None, :])
-            dens = np.exp(log_densities(oracle, mesh.ravel())[i]).reshape(mesh.shape)
+            probe = mesh[::40, ::40].ravel()
+            assert np.array_equal(log_densities(pair, probe)[0], log_densities(oracle, probe)[i])
+            dens = np.exp(log_densities(pair, mesh.ravel())[0]).reshape(mesh.shape)
             assert trapezoid(2.0 * np.pi * r * dens.mean(axis=1), r) == pytest.approx(1.0, abs=1e-3)
 
     def test_angular_grid_is_capped(self):
@@ -463,19 +485,53 @@ class TestMutualInformation:
 
     @pytest.mark.parametrize("const, params", [(qpsk(1e-3), AWGN), (qam(16, P5), NLPN)],
                              ids=["qpsk-awgn", "qam16-5dbm"])
-    def test_is_the_mean_log_posterior(self, const, params):
-        # log2 M + mean log2 p(x_i | y_i) on the same draws, with the
-        # posterior normalised here rather than by the in-place mixture
+    def test_is_log2m_minus_mean_posterior_entropy(self, const, params):
+        # on the same draws, with the posterior normalised here rather than
+        # row by row as in the estimator
         oracle = build_oracle(const, params)
         n, seed = 20_000, 34
-        rng = make_rng((seed, 2))
-        msgs = rng.integers(0, const.m, size=n)
-        y = propagate(const.points[msgs], params, rng)
-        dens = log_densities(oracle, y)
-        log_post = dens[msgs, np.arange(n)] - logsumexp(dens, axis=0)
-        expected = math.log2(const.m) + np.mean(log_post) / math.log(2.0)
+        y, _, dens = mi_draws(oracle, n, seed)
+        log_post = dens - logsumexp(dens, axis=0)
+        entropy = -np.sum(np.exp(log_post) * log_post, axis=0) / math.log(2.0)
+        expected = math.log2(const.m) - np.mean(entropy)
         assert mutual_information(oracle, n, seed) == pytest.approx(expected, rel=0.0, abs=1e-12)
         assert np.array_equal(ml_detect(oracle, y), np.argmax(dens, axis=0))
+
+    @pytest.mark.parametrize("const, params", [
+        (fixture_constellation(), NLPN),
+        (qam(16, watts_from_dbm(-2.0)), NLPN),
+    ], ids=["fixture-0dbm", "qam16-m2dbm"])
+    def test_entropy_terms_spread_half_as_much_as_log_posteriors(self, const, params):
+        # per-sample terms on shared draws: log2 M - H(p(. | y_i)), and the
+        # log-posterior of the message sent, log2 M + log2 p(x_i | y_i); both
+        # have mean MI, and the first has the smaller standard error
+        oracle = build_oracle(const, params)
+        n = 20_000
+        _, msgs, dens = mi_draws(oracle, n, seed=36)
+        log_post = (dens - logsumexp(dens, axis=0)) / math.log(2.0)
+        entropy_terms = math.log2(const.m) + np.sum(np.exp2(log_post) * log_post, axis=0)
+        own_terms = math.log2(const.m) + log_post[msgs, np.arange(n)]
+        assert np.std(entropy_terms) <= 0.5 * np.std(own_terms)
+
+    def test_decoder_gap_is_the_mean_kl_divergence(self):
+        # the fixture's decoder q against the exact posterior p, on shared
+        # draws: MI - AIR_RB is the mean KL(p || q), which is >= 0 per sample,
+        # and AIR_RB = log2 M + mean sum_s p log2 q is the paper's one-hot AIR
+        # averaged over the message, so the two agree within Monte Carlo noise
+        model = load_checkpoint(FIXTURE)
+        oracle = build_oracle(Constellation(points=constellation_points(model)), model.params)
+        n, seed = 20_000, 38
+        y, msgs, dens = mi_draws(oracle, n, seed)
+        log_p = (dens - logsumexp(dens, axis=0)) / math.log(2.0)
+        p = np.exp2(log_p)
+        log_q = np.log2(decode(model, y).T)
+        kl = np.sum(p * (log_p - log_q), axis=0)
+        assert kl.min() >= 0.0
+        air_rb = math.log2(model.m) + np.mean(np.sum(p * log_q, axis=0))
+        gap = mutual_information(oracle, n, seed) - air_rb
+        assert gap == pytest.approx(np.mean(kl), rel=0.0, abs=1e-12)
+        diff = log_q[msgs, np.arange(n)] - np.sum(p * log_q, axis=0)
+        assert abs(np.mean(diff)) <= 4.0 * np.std(diff) / math.sqrt(n)
 
     def test_bounds(self):
         oracle = build_oracle(qpsk(1e-3), AWGN)
