@@ -46,7 +46,8 @@ else:
     const = Constellation(points=constellation_points(model))
     # the channel the model was trained on, which need not be the default
     oracle = build_oracle(const, model.params)
-    mi = mutual_information(oracle, 50_000, seed=15)
+    # at one seed both rates score the same channel outputs
+    mi = mutual_information(oracle, 50_000, seed=13)
     print(f"\ntrained model at {p_dbm:+.1f} dBm:")
     print(f"  decoder AIR          = {value:.3f} bpcu")
     print(f"  constellation MI     = {mi:.3f} bpcu (upper-bounds the AIR)")

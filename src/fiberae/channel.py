@@ -22,7 +22,10 @@ Randomness: every generator in the package comes from `make_rng`, a numpy
 Generator backed by the counter-based Philox bit generator and seeded from
 a SeedSequence of an int or tuple entropy, with real and imaginary normal
 deviates drawn in that order at every segment.  Identical seeds
-give bit-identical outputs.
+give bit-identical outputs.  Every Monte-Carlo estimate reads `simulate`:
+message i is i mod M, and all the noise comes from the one stream
+make_rng((seed, 1)), so its outputs depend on nothing but the points, the
+channel, the sample count and the seed.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ __all__ = [
     "watts_from_dbm",
     "dbm_from_watts",
     "make_rng",
-    "derived_seed",
     "draw_noise",
     "propagate",
+    "simulate",
     "propagate_tape",
     "backprop_channel",
 ]
@@ -68,15 +71,11 @@ def make_rng(entropy) -> np.random.Generator:
     """Counter-based generator (Philox 4x64) used for all sampling.
 
     Seeded from SeedSequence(entropy): `make_rng(s)` is the root stream of
-    seed s, and a tuple entropy such as (s, tag) names a structurally
-    disjoint stream.
+    seed s, and a tuple entropy such as (s, tag) with a nonzero last word
+    names a disjoint stream.  SeedSequence pads short entropy with zero
+    words, so (s, 0) is the root stream s itself.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def derived_seed(root_seed: int, index: int, slot: int) -> int:
-    """A 32-bit seed derived from (root_seed, index, slot), for per-task streams."""
-    return int(np.random.SeedSequence((root_seed, index, slot)).generate_state(1)[0])
 
 
 @dataclass(frozen=True)
@@ -171,6 +170,15 @@ def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
     noise = (_noise(params, xs.shape, rng, 1)[0] for _ in range(params.segments))
     return _recurse(xs, params.phase_rate, noise)
+
+
+def simulate(points, params: ChannelParams, n_samples: int, seed: int):
+    """(msgs, y): messages arange(n_samples) % M and the channel outputs of
+    their points, with all the noise drawn from make_rng((seed, 1))."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    msgs = np.arange(n_samples) % points.size
+    return msgs, propagate(points[msgs], params, make_rng((seed, 1)))
 
 
 def propagate_tape(x, noise: np.ndarray, params: ChannelParams):

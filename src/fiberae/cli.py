@@ -264,11 +264,12 @@ def _overlay_rows(overlay_path: str) -> list[str]:
         if parts[0] == "power_dbm":
             continue
         try:
-            ok = len(parts) in (3, 5) and all(math.isfinite(float(parts[k])) for k in (0, 2))
+            ok = (len(parts) in (3, 5) and all(math.isfinite(float(parts[k])) for k in (0, 2))
+                  and all(f.isascii() and f.isdigit() for f in parts[3:]))
         except ValueError:
             ok = False
         if not ok:
-            raise CliError(f"overlay row needs finite power_dbm,metric,value[,n_samples,seed]: {line!r}")
+            raise CliError(f"overlay row needs finite power_dbm,metric,value[,n_samples,seed as digits]: {line!r}")
         rows.append(stripped if len(parts) == 5 else stripped + ",0,0")
     return rows
 

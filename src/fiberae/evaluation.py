@@ -7,9 +7,9 @@ into the same measurement code.  A sweep takes its sources already
 resolved, one (power, constellation or model) pair per point, and returns
 one value per pair.
 
-All Monte Carlo here uses balanced message draws for error rates and
-uniform draws for information rates, with streams derived deterministically
-from the caller's seed.
+Every Monte-Carlo estimate reads the balanced messages and channel outputs
+of `channel.simulate` at the caller's seed, so at one seed every metric of
+one constellation scores the same outputs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
-from fiberae.channel import ChannelParams, derived_seed, make_rng, propagate
+from fiberae.channel import ChannelParams, simulate
 from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 from fiberae.nets import cross_entropy
 
@@ -130,29 +130,20 @@ def detector_for(kind: str, source, params: ChannelParams):
 
 
 def ser(source, detector, params: ChannelParams, n_samples: int, seed: int) -> float:
-    """Monte-Carlo symbol error rate with balanced message draws."""
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    points = _as_constellation(source).points
-    msgs = np.arange(n_samples) % points.size
-    y = propagate(points[msgs], params, make_rng(seed))
+    """Monte-Carlo symbol error rate on `simulate`'s balanced messages."""
+    msgs, y = simulate(_as_constellation(source).points, params, n_samples, seed)
     return float(np.mean(detector(y) != msgs))
 
 
 def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
     """Achievable information rate of the model's own decoder, in bits.
 
-    Draws uniform messages, propagates with fresh noise, and scores the
-    decoder's posteriors with its training loss: log2 M minus the
-    cross-entropy in bits.  This auxiliary-channel rate lower-bounds the
-    mutual information of the learned constellation.
+    Scores the decoder's posteriors at `simulate`'s outputs with its
+    training loss: log2 M minus the cross-entropy in bits.  This
+    auxiliary-channel rate lower-bounds the mutual information of the
+    learned constellation.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = make_rng(seed)
-    points = constellation_points(model)
-    msgs = rng.integers(0, model.m, size=n_samples)
-    y = propagate(points[msgs], model.params, rng)
+    msgs, y = simulate(constellation_points(model), model.params, n_samples, seed)
     return math.log2(model.m) - cross_entropy(decode(model, y), msgs)[0] / math.log(2.0)
 
 
@@ -177,33 +168,31 @@ def sweep(
     model must have been trained on `params`, the channel every metric
     runs on.  metric is one of "ser", "air", "mi"; for "ser" `detector`
     selects "mindist", "ml" (exact-likelihood oracle), or "ae"; "ae" and
-    "air" need a model at every power.  Per-power randomness derives from
-    (seed, pair index), so results are deterministic and thread-independent.
+    "air" need a model at every power.  Every pair runs at `seed` itself, so
+    a value does not depend on its position in the sweep or on `threads`.
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")
     if metric == "ser" and detector not in ("mindist", "ml", "ae"):
         raise ValueError(f"unknown detector {detector!r}")
-    items = list(enumerate(sources))
-    other = [p for _, (p, s) in items if isinstance(s, AutoencoderModel) and s.params != params]
+    sources = list(sources)
+    other = [p for p, s in sources if isinstance(s, AutoencoderModel) and s.params != params]
     if other:
         raise ValueError(f"the models at {other} dBm were trained on another channel than {params}")
-    untrained = [p for _, (p, s) in items if not isinstance(s, AutoencoderModel)]
+    untrained = [p for p, s in sources if not isinstance(s, AutoencoderModel)]
     if untrained and (metric == "air" or metric == "ser" and detector == "ae"):
         raise ValueError(f"{metric} with the ae decoder needs a trained model at {untrained} dBm")
 
-    def one_power(item) -> float:
-        i, (_, source) = item
-        eval_seed = derived_seed(seed, i, 0)
+    def one_power(source) -> float:
         if metric == "ser":
             det = detector_for(detector, source, params)
-            return ser(source, det, params, n_samples, eval_seed)
+            return ser(source, det, params, n_samples, seed)
         if metric == "air":
-            return air(source, n_samples, eval_seed)
+            return air(source, n_samples, seed)
         oracle = build_oracle(_as_constellation(source), params)
-        return mutual_information(oracle, n_samples, eval_seed)
+        return mutual_information(oracle, n_samples, seed)
 
-    if threads > 1 and len(items) > 1:
+    if threads > 1 and len(sources) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_power, items))
-    return [one_power(it) for it in items]
+            return list(pool.map(one_power, [s for _, s in sources]))
+    return [one_power(s) for _, s in sources]

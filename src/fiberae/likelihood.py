@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e, ive
 
-from fiberae.channel import ChannelParams, make_rng, propagate
+from fiberae.channel import ChannelParams, simulate
 
 __all__ = [
     "Constellation",
@@ -217,16 +217,12 @@ def ml_detect(oracle: LikelihoodOracle, y) -> np.ndarray:
 def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
     """Monte-Carlo mutual information in bits of the oracle's constellation.
 
-    log2 M minus the mean entropy of the exact posterior p(. | y_i) over
-    outputs y_i of uniform messages, drawn with the oracle's channel from the
-    stream (seed, 2): `evaluation.air` with p for the decoder's posterior,
-    averaged over the message instead of read at the one sent.
+    log2 M minus the mean entropy of the exact posterior p(. | y_i) over the
+    outputs y_i that `simulate` gives for the oracle's constellation and
+    channel: `evaluation.air` with p for the decoder's posterior, averaged
+    over the message instead of read at the one sent.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one sample")
-    rng = make_rng((seed, 2))
-    msgs = rng.integers(0, oracle.m, size=n_samples)
-    y = propagate(oracle.constellation.points[msgs], oracle.params, rng)
+    _, y = simulate(oracle.constellation.points, oracle.params, n_samples, seed)
     dens = log_densities(oracle, y)
     # H = log sum e - sum e d / sum e over s, where d is the log-density less
     # its peak and e = exp(d); row by row, as the matrix is the largest array

@@ -13,6 +13,7 @@ from fiberae.channel import (
     make_rng,
     propagate,
     propagate_tape,
+    simulate,
     watts_from_dbm,
 )
 
@@ -130,6 +131,27 @@ class TestRandomness:
         assert make_rng(5).random() == np.random.Generator(np.random.Philox(5)).random()
         assert make_rng((5, 2)).random() == np.random.Generator(
             np.random.Philox(seq((5, 2)))).random()
+
+    def test_simulate_is_one_stream_of_propagate(self):
+        points = np.array([0.02, 0.03j, -0.01 - 0.02j])
+        params, n, seed = ChannelParams(segments=3), 20_005, 9
+        msgs, y = simulate(points, params, n, seed)
+        assert np.array_equal(msgs, np.arange(n) % 3)
+        assert np.array_equal(y, propagate(points[msgs], params, make_rng((seed, 1))))
+
+    def test_simulate_noise_is_not_the_root_stream(self):
+        # (seed, 0) would mix to the root stream that training and
+        # build_model read; simulate's tag keeps its noise apart from it
+        points = np.array([0.02, -0.02])
+        params, seed = ChannelParams(segments=3), 9
+        msgs, y = simulate(points, params, 64, seed)
+        assert make_rng((seed, 0)).random() == make_rng(seed).random()
+        assert not np.allclose(y, propagate(points[msgs], params, make_rng(seed)))
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_simulate_rejects_no_samples(self, n):
+        with pytest.raises(ValueError, match="at least one sample"):
+            simulate(np.array([1.0, -1.0]), ChannelParams(), n, 0)
 
 
 class TestNoiseStatistics:

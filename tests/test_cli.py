@@ -373,6 +373,20 @@ class TestSer:
             contents.append((out / "ser_qam_mindist.csv").read_bytes())
         assert contents[0] == contents[1]
 
+    def test_sweep_row_is_the_one_point_run(self, tmp_path):
+        # a row depends on its power and the seed, not on its place in the
+        # sweep; 16-QAM on the default channel errs at 5 dBm, so the row
+        # carries the noise of its stream
+        rows = []
+        for name, powers in (("sweep", "--powers=-2:7:5"), ("one", "--power=5")):
+            out = tmp_path / name
+            assert run_cli("ser", "--source", "qam", "--detector", "ml", powers,
+                           "--samples", "4000", "--out", out, "--seed", "6") == 0
+            text = (out / "ser_qam_ml.csv").read_bytes()
+            rows.append([l for l in text.splitlines() if l.startswith(b"5.0,")])
+        assert len(rows[1]) == 1 and float(rows[1][0].split(b",")[2]) > 0.0
+        assert rows[0] == rows[1]
+
     def test_ae_detector_needs_checkpoint(self, tmp_path, awgn_config, capsys):
         assert run_cli("ser", "--config", awgn_config, "--source", "qam",
                        "--detector", "ae", "--power", "0",
@@ -526,7 +540,7 @@ class TestInputsResolvedFirst:
         def no_propagate(*args, **kwargs):
             pytest.fail("propagate ran before every input was resolved")
 
-        monkeypatch.setattr("fiberae.evaluation.propagate", no_propagate)
+        monkeypatch.setattr("fiberae.channel.propagate", no_propagate)
         out = tmp_path / "out"
         argv = [a.format(dir=ckpt_dir) for a in argv]
         assert run_cli(*argv, "--config", awgn_config, "--threads", threads, "--out", out) == 1
@@ -647,6 +661,13 @@ class TestOverlayRows:
         "inf,ub,1,10,3",
         "x,ub,1",
         "1,ub",
+        # n_samples and seed are written as they are, so they must be counts
+        "1,ub,2,x,y",
+        "1,ub,2,10,-3",
+        "1,ub,2,1.5,3",
+        "1,ub,2,1e3,3",
+        "1,ub,2,10,",
+        "1,ub,2,\u00b2,3",
     ])
     def test_rejected(self, tmp_path, awgn_config, ckpt, capsys, row):
         assert self.air_with_overlay(tmp_path, awgn_config, ckpt, row) == 1

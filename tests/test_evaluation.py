@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awgn_reference import awgn_qam_ser
 from fiberae.autoencoder import build_model
@@ -175,19 +177,37 @@ class TestSweep:
     def test_empty_power_list(self):
         assert sweep([], "ser", AWGN, 100, seed=0) == []
 
-    def test_ser_sweep_rows(self):
-        powers = [-10.0, -5.0]
-        values = sweep(
-            qpsk_sources(powers),
-            "ser",
-            AWGN,
-            20_000,
-            seed=3,
-            detector="mindist",
-        )
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(-16.0, -8.0), st.floats(-16.0, -8.0))
+    def test_ser_sweep_rows(self, seed, p_a, p_b):
+        # one seed gives every power the same noise, and on AWGN the output
+        # is the input plus that noise, so a minimum-distance QPSK decision
+        # right at one power is right at every higher one: sample by sample,
+        # less power means no fewer errors
+        powers = sorted([p_a, p_b])
+        values = sweep(qpsk_sources(powers), "ser", AWGN, 10_000, seed=seed, detector="mindist")
         assert len(values) == len(powers)
         assert all(0.0 <= v <= 1.0 for v in values)
-        assert values[0] > values[1]  # less power, more errors
+        assert values[0] >= values[1]
+
+    @pytest.mark.parametrize("metric", ["ser", "air", "mi"])
+    def test_row_is_the_direct_call_at_any_position(self, metric):
+        # every point runs at the sweep's own seed, whatever its index
+        n, seed = 3000, 7
+        powers = [-6.0, -3.0, 0.0]
+        if metric == "air":
+            sources = [(p, build_model(4, AWGN, watts_from_dbm(p), seed=0)) for p in powers]
+        else:
+            sources = qpsk_sources(powers)
+        direct = {
+            "ser": lambda s: ser(s, min_distance_detector(s), AWGN, n, seed),
+            "air": lambda s: air(s, n, seed),
+            "mi": lambda s: mutual_information(build_oracle(s, AWGN), n, seed),
+        }[metric]
+        expected = [direct(s) for _, s in sources]
+        assert sweep(sources, metric, AWGN, n, seed) == expected
+        assert sweep(sources[::-1], metric, AWGN, n, seed, threads=2) == expected[::-1]
+        assert sweep(sources[1:2], metric, AWGN, n, seed) == expected[1:2]
 
     def test_threads_do_not_change_values(self):
         sources = qpsk_sources([-10.0, -8.0, -6.0])
@@ -206,7 +226,7 @@ class TestSweep:
         def no_propagate(*args, **kwargs):
             pytest.fail("propagate ran on a source without a decoder")
 
-        monkeypatch.setattr("fiberae.evaluation.propagate", no_propagate)
+        monkeypatch.setattr("fiberae.channel.propagate", no_propagate)
         model = build_model(4, AWGN, 1e-3, seed=0)
         sources = [(-3.0, model), (0.0, qam(4, 1e-3))]
         with pytest.raises(ValueError, match=r"trained model at \[0.0\] dBm"):
@@ -219,7 +239,7 @@ class TestSweep:
         def no_propagate(*args, **kwargs):
             pytest.fail("propagate ran on a conflicting source")
 
-        monkeypatch.setattr("fiberae.evaluation.propagate", no_propagate)
+        monkeypatch.setattr("fiberae.channel.propagate", no_propagate)
         model = build_model(4, NLPN, 1e-3, seed=0)
         with pytest.raises(ValueError, match="trained on"):
             sweep([(0.0, model)], metric, AWGN, 100, seed=0, detector="ae")

@@ -13,7 +13,7 @@ from scipy.stats import kstest, rice
 
 from awgn_reference import awgn_mutual_information_bits
 from fiberae.autoencoder import constellation_points, decode, load_checkpoint
-from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
+from fiberae.channel import ChannelParams, make_rng, propagate, simulate, watts_from_dbm
 from fiberae.evaluation import qam, ser
 from fiberae.likelihood import (
     MAX_GRID_SIDE,
@@ -49,9 +49,7 @@ def fixture_constellation() -> Constellation:
 
 def mi_draws(oracle, n: int, seed: int):
     """The outputs, messages and log-densities that `mutual_information` scores."""
-    rng = make_rng((seed, 2))
-    msgs = rng.integers(0, oracle.m, size=n)
-    y = propagate(oracle.constellation.points[msgs], oracle.params, rng)
+    msgs, y = simulate(oracle.constellation.points, oracle.params, n, seed)
     return y, msgs, log_densities(oracle, y)
 
 

@@ -1,5 +1,6 @@
 """Package-level checks."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -76,6 +77,36 @@ def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
     for argv in argvs:
         _setup(build_parser().parse_args(argv), "outputs")
     assert argvs and not (tmp_path / "out").exists()
+
+
+def _bound_name(node):
+    """The name a node reads, imports or calls an attribute by, else None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.alias):
+        return node.name.rpartition(".")[2]
+    return None
+
+
+def test_one_seeding_scheme():
+    # every generator comes from channel.make_rng and every Monte-Carlo
+    # message from channel.simulate's arange, so no other code in src seeds
+    # a stream or draws integers (docstrings may name them)
+    stray = []
+    for path in sorted((ROOT / "src" / "fiberae").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "channel.py":
+            (make_rng,) = [n for n in tree.body if getattr(n, "name", None) == "make_rng"]
+            allowed = set(map(id, ast.walk(make_rng)))
+        for node in ast.walk(tree):
+            name = _bound_name(node)
+            if (name in ("SeedSequence", "Philox", "default_rng") and id(node) not in allowed
+                    or name == "integers" and isinstance(node, ast.Attribute)):
+                stray.append(f"{path.name}:{node.lineno}: {name}")
+    assert stray == []
 
 
 @pytest.fixture
