@@ -5,7 +5,7 @@ The package provides, as plain numpy code:
 * ``channel``      -- the per-sample nonlinear phase-noise channel and its
                       exact reverse-mode gradient,
 * ``nets``         -- a minimal dense-network engine (forward, backprop,
-                      cross-entropy, Adam, gradient checking),
+                      cross-entropy, Adam),
 * ``autoencoder``  -- the trainable transmitter/channel/receiver stack with
                       power normalization and checkpointing,
 * ``likelihood``   -- the channel's exact per-symbol log-densities
@@ -14,18 +14,8 @@ The package provides, as plain numpy code:
 * ``evaluation``   -- QAM baselines, symbol-error-rate and information-rate
                       measurement, decision-region rasters, power sweeps,
 * ``gradcheck``    -- finite-difference verification of every gradient path,
+                      with its one step and one tolerance,
 * ``cli``          -- the ``fiberae`` command-line front end.
 """
-
-from fiberae.channel import (
-    ChannelParams,
-    PropagationTape,
-    backprop_channel,
-    dbm_from_watts,
-    make_rng,
-    propagate,
-    propagate_tape,
-    watts_from_dbm,
-)
 
 __version__ = "0.1.0"

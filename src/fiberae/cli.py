@@ -35,9 +35,8 @@ from fiberae.autoencoder import (
 from fiberae.channel import dbm_from_watts, watts_from_dbm
 from fiberae.config import RunConfig, config_hash, load_config, resolved_json
 from fiberae.evaluation import RasterSpec, decision_regions, detector_for, qam, sweep
-from fiberae.gradcheck import run_all
+from fiberae.gradcheck import TOLERANCE, run_all
 
-GRADCHECK_TOLERANCE = 1e-5
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -163,7 +162,8 @@ def _resolve_sources(args, config: RunConfig) -> list[tuple[float, object]]:
     source = Path(args.source)
     if args.source == "qam":
         if args.detector == "ae":
-            raise CliError("the ae detector needs a checkpoint source, not qam")
+            needs = "air" if args.command == "air" else "the ae detector"
+            raise CliError(f"{needs} needs a trained decoder: pass a checkpoint, not qam")
         pairs = [(p, qam(config.model.m, watts_from_dbm(p))) for p in powers]
     elif source.is_dir():
         pairs = []
@@ -316,9 +316,9 @@ def cmd_gradcheck(args) -> int:
     lines = []
     ok = True
     for name, err in report.items():
-        passed = err <= GRADCHECK_TOLERANCE
+        passed = err <= TOLERANCE
         ok = ok and passed
-        line = f"{name}: max relative error {err:.3e} (tolerance {GRADCHECK_TOLERANCE:g}) {'PASS' if passed else 'FAIL'}"
+        line = f"{name}: max relative error {err:.3e} (tolerance {TOLERANCE:g}) {'PASS' if passed else 'FAIL'}"
         lines.append(line)
         print(line)
     _write_text(out_dir / "gradcheck.txt", config, args.seed, lines)

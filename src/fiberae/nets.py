@@ -34,10 +34,8 @@ __all__ = [
     "adam_step",
     "backward",
     "cross_entropy",
-    "finite_difference_error",
     "forward",
     "glorot_layer",
-    "grad_check",
     "network",
 ]
 
@@ -221,39 +219,3 @@ def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray
         v += (1.0 - ADAM_BETA2) * g * g
         p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON)
 
-
-def finite_difference_error(params: list[np.ndarray], analytic: list[np.ndarray],
-                            loss, step: float) -> float:
-    """Worst mixed error of analytic gradients against central differences.
-
-    Every entry of every array in `params` is perturbed by +-step in place
-    and restored; `loss()` must evaluate the loss on the live arrays.  The
-    figure is max |analytic - numeric| / max(|analytic|, |numeric|, 1).
-    """
-    worst = 0.0
-    for p, g in zip(params, analytic):
-        flat = p.reshape(-1)
-        ga = g.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            plus = loss()
-            flat[j] = orig - step
-            minus = loss()
-            flat[j] = orig
-            numeric = (plus - minus) / (2.0 * step)
-            worst = max(worst, abs(ga[j] - numeric) / max(abs(ga[j]), abs(numeric), 1.0))
-    return worst
-
-
-def grad_check(net: DenseNetwork, loss_fn, x, step: float = 1e-6) -> float:
-    """Compare backward() at the batch x against central finite differences.
-
-    `loss_fn(output)` must return (value, grad_wrt_output) for the (n, n_out)
-    output; the figure is `finite_difference_error` over every parameter.
-    """
-    out, activations = forward(net, x)
-    analytic, _ = backward(net, activations, loss_fn(out)[1])
-    return finite_difference_error(
-        net.parameters(), analytic, lambda: loss_fn(forward(net, x)[0])[0], step
-    )

@@ -16,21 +16,9 @@ from fiberae.channel import (
     simulate,
     watts_from_dbm,
 )
+from fiberae.gradcheck import channel_error, finite_difference_error
 
 TWO_PI = 2.0 * math.pi
-
-
-def fd_input_gradient(x, noise, params, gr, gi, step=1e-6):
-    """Central finite differences of L(x) = gr*Re(y) + gi*Im(y) w.r.t. (Re x, Im x)."""
-
-    def loss(re, im):
-        y, _ = propagate_tape(np.array([complex(re, im)]), noise, params)
-        return gr * y[0].real + gi * y[0].imag
-
-    a, b = x.real, x.imag
-    da = (loss(a + step, b) - loss(a - step, b)) / (2 * step)
-    db = (loss(a, b + step) - loss(a, b - step)) / (2 * step)
-    return da, db
 
 
 class TestUnits:
@@ -279,25 +267,16 @@ class TestBackprop:
 
     def test_single_segment_against_finite_differences(self):
         params = ChannelParams(segments=1, noise_power_w=0.0)
-        x = 0.005 + 0j
+        x = np.array([0.005 + 0j])
         noise = np.zeros((1, 1), dtype=complex)
-        _, tape = propagate_tape(np.array([x]), noise, params)
-        g = backprop_channel(tape, np.array([1.0 + 0j]))
-        da, db = fd_input_gradient(x, noise, params, 1.0, 0.0)
-        assert g[0].real == pytest.approx(da, rel=1e-7)
-        assert g[0].imag == pytest.approx(db, rel=1e-7)
+
+        def loss():
+            return propagate_tape(x, noise, params)[0][0].real
+
+        g = backprop_channel(propagate_tape(x, noise, params)[1], np.array([1.0 + 0j]))
+        assert finite_difference_error([x.view(float)], [g.view(float)], loss) <= 1e-7
 
     @pytest.mark.parametrize("segments", [1, 5, 10, 50])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_tapes_against_finite_differences(self, segments, seed):
-        params = ChannelParams(segments=segments)
-        rng = make_rng(seed)
-        x = complex(0.03 * rng.standard_normal(), 0.03 * rng.standard_normal())
-        noise = draw_noise(params, (1,), rng)
-        _, tape = propagate_tape(np.array([x]), noise, params)
-        gr, gi = rng.standard_normal(), rng.standard_normal()
-        g = backprop_channel(tape, np.array([complex(gr, gi)]))
-        da, db = fd_input_gradient(x, noise, params, gr, gi)
-        scale = max(abs(da), abs(db), 1.0)
-        assert abs(g[0].real - da) / scale < 1e-6
-        assert abs(g[0].imag - db) / scale < 1e-6
+        assert channel_error((segments,), seed=seed) <= 1e-6

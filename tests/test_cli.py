@@ -36,6 +36,15 @@ def awgn_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def ckpt(tmp_path, awgn_config):
+    """A 2-batch AWGN checkpoint trained at -3 dBm, in its own directory."""
+    out = tmp_path / "ckpt"
+    assert run_cli("train", "--config", awgn_config, "--power", "-3",
+                   "--batches", "2", "--out", out, "--seed", "3") == 0
+    return out / "ae_m4_p-3.00dbm.json"
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
@@ -387,12 +396,6 @@ class TestSer:
         assert len(rows[1]) == 1 and float(rows[1][0].split(b",")[2]) > 0.0
         assert rows[0] == rows[1]
 
-    def test_ae_detector_needs_checkpoint(self, tmp_path, awgn_config, capsys):
-        assert run_cli("ser", "--config", awgn_config, "--source", "qam",
-                       "--detector", "ae", "--power", "0",
-                       "--out", tmp_path) == 1
-        assert "checkpoint" in capsys.readouterr().err
-
 
 class TestAirMiRegions:
     @pytest.fixture
@@ -472,13 +475,6 @@ class TestConflictingInputs:
     """A checkpoint run on a config whose channel (or, to warm-start, whose
     layer plan) differs from the one it was trained with is refused."""
 
-    @pytest.fixture
-    def trained(self, tmp_path, awgn_config):
-        out = tmp_path / "ckpt"
-        assert run_cli("train", "--config", awgn_config, "--power", "-3",
-                       "--batches", "2", "--out", out, "--seed", "3") == 0
-        return out / "ae_m4_p-3.00dbm.json"
-
     def other_config(self, tmp_path, **blocks):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({**AWGN_CONFIG, **blocks}))
@@ -494,9 +490,9 @@ class TestConflictingInputs:
         ("train", "--power", "-3", "--warm-start", "{ckpt}"),
     ])
     @pytest.mark.parametrize("channel", [{"gamma": 0.0, "segments": 10}, {}])
-    def test_other_channel_rejected(self, tmp_path, trained, argv, channel, capsys):
+    def test_other_channel_rejected(self, tmp_path, ckpt, argv, channel, capsys):
         config = self.other_config(tmp_path, channel=channel)
-        argv = [a.format(ckpt=trained, dir=trained.parent) for a in argv]
+        argv = [a.format(ckpt=ckpt, dir=ckpt.parent) for a in argv]
         out = tmp_path / "out"
         assert run_cli(*argv, "--config", config, "--out", out) == 1
         assert "trained on" in capsys.readouterr().err
@@ -507,10 +503,10 @@ class TestConflictingInputs:
         {"m": 4, "tx_hidden_layers": 1, "rx_hidden_layers": 1, "hidden_width": 8},
         {"m": 8, "tx_hidden_layers": 1, "rx_hidden_layers": 1},
     ])
-    def test_warm_start_other_layer_plan_rejected(self, tmp_path, trained, model, capsys):
+    def test_warm_start_other_layer_plan_rejected(self, tmp_path, ckpt, model, capsys):
         config = self.other_config(tmp_path, model=model)
         assert run_cli("train", "--config", config, "--power", "-2", "--batches", "2",
-                       "--warm-start", trained, "--out", tmp_path / "out") == 1
+                       "--warm-start", ckpt, "--out", tmp_path / "out") == 1
         assert "layer plan" in capsys.readouterr().err
 
 
@@ -547,6 +543,19 @@ class TestInputsResolvedFirst:
         assert message in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
+    @pytest.mark.parametrize("argv, needs", [
+        (("ser", "--source", "qam", "--detector", "ae"), "the ae detector"),
+        (("regions", "--source", "qam", "--detector", "ae"), "the ae detector"),
+        (("air", "--checkpoint", "qam"), "air"),
+    ], ids=["ser", "regions", "air"])
+    def test_qam_source_without_decoder_rejected(self, tmp_path, awgn_config, capsys, argv,
+                                                 needs):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--power", "0", "--config", awgn_config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: {needs} needs a trained decoder: pass a checkpoint, not qam" in err
+        assert not out.exists()
+
     def test_regions_takes_no_power_sweep(self, tmp_path, awgn_config):
         # regions draws one raster at one power
         out = tmp_path / "out"
@@ -576,13 +585,6 @@ class TestInputsResolvedFirst:
 class TestPowerValues:
     """A power must be a finite dBm value whose power in watts is a finite
     positive double; anything else ends in an error line and no result."""
-
-    @pytest.fixture
-    def ckpt(self, tmp_path, awgn_config):
-        out = tmp_path / "ckpt"
-        assert run_cli("train", "--config", awgn_config, "--power", "-3",
-                       "--batches", "2", "--out", out, "--seed", "3") == 0
-        return out / "ae_m4_p-3.00dbm.json"
 
     @pytest.mark.parametrize("argv", [
         ("train", "--power", "nan"),
@@ -632,13 +634,6 @@ class TestPowerValues:
 
 
 class TestOverlayRows:
-    @pytest.fixture
-    def ckpt(self, tmp_path, awgn_config):
-        out = tmp_path / "ckpt"
-        assert run_cli("train", "--config", awgn_config, "--power", "-3",
-                       "--batches", "2", "--out", out, "--seed", "3") == 0
-        return out / "ae_m4_p-3.00dbm.json"
-
     def air_with_overlay(self, tmp_path, awgn_config, ckpt, rows: str) -> int:
         overlay = tmp_path / "bounds.csv"
         overlay.write_text(f"power_dbm,metric,value\n{rows}\n")
@@ -679,13 +674,6 @@ class TestEditedCheckpoint:
     """A checkpoint records its normalization scale for its readers; every
     command refuses one whose record disagrees with its weights."""
 
-    @pytest.fixture
-    def trained(self, tmp_path, awgn_config):
-        out = tmp_path / "ckpt"
-        assert run_cli("train", "--config", awgn_config, "--power", "-3",
-                       "--batches", "2", "--out", out, "--seed", "3") == 0
-        return out / "ae_m4_p-3.00dbm.json"
-
     @pytest.mark.parametrize("factor", [2.0, 1.0 + 1e-6])
     @pytest.mark.parametrize("argv", [
         ("air", "--checkpoint"),
@@ -694,13 +682,13 @@ class TestEditedCheckpoint:
         ("regions", "--detector", "ae", "--source"),
         ("export-constellation", "--checkpoint"),
     ], ids=["air", "ser-ae", "mi", "regions-ae", "export-constellation"])
-    def test_edited_norm_scale_rejected(self, tmp_path, awgn_config, trained, argv, factor,
+    def test_edited_norm_scale_rejected(self, tmp_path, awgn_config, ckpt, argv, factor,
                                         capsys):
-        doc = json.loads(trained.read_text())
+        doc = json.loads(ckpt.read_text())
         doc["norm_scale"] *= factor
-        trained.write_text(json.dumps(doc))
+        ckpt.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert run_cli(*argv, trained, "--config", awgn_config, "--out", out) == 1
+        assert run_cli(*argv, ckpt, "--config", awgn_config, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "norm_scale" in err
         assert not out.exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fiberae.channel import make_rng
+from fiberae.gradcheck import grad_check
 from fiberae.nets import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -17,7 +18,6 @@ from fiberae.nets import (
     backward,
     cross_entropy,
     forward,
-    grad_check,
     network,
 )
 

@@ -93,7 +93,9 @@ def _bound_name(node):
 def test_one_seeding_scheme():
     # every generator comes from channel.make_rng and every Monte-Carlo
     # message from channel.simulate's arange, so no other code in src seeds
-    # a stream or draws integers (docstrings may name them)
+    # a stream or draws integers (docstrings may name them); a stream apart
+    # from a seed's root is a (seed, k) tuple, never arithmetic on the seed,
+    # which would be another seed's root stream
     stray = []
     for path in sorted((ROOT / "src" / "fiberae").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -106,6 +108,10 @@ def test_one_seeding_scheme():
             if (name in ("SeedSequence", "Philox", "default_rng") and id(node) not in allowed
                     or name == "integers" and isinstance(node, ast.Attribute)):
                 stray.append(f"{path.name}:{node.lineno}: {name}")
+            if (isinstance(node, ast.Call) and _bound_name(node.func) == "make_rng"
+                    and any(isinstance(a, ast.BinOp)
+                            for a in [*node.args, *(k.value for k in node.keywords)])):
+                stray.append(f"{path.name}:{node.lineno}: make_rng of arithmetic")
     assert stray == []
 
 
