@@ -25,7 +25,9 @@ deviates drawn in that order at every segment.  Identical seeds
 give bit-identical outputs.  Every Monte-Carlo estimate reads `simulate`:
 message i is i mod M, and all the noise comes from the one stream
 make_rng((seed, 1)), so its outputs depend on nothing but the points, the
-channel, the sample count and the seed.
+channel, the sample count and the seed.  Evaluations run their per-sample
+work over those outputs in `in_blocks` slices of BLOCK samples, so their
+working memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ __all__ = [
     "draw_noise",
     "propagate",
     "simulate",
+    "BLOCK",
+    "in_blocks",
     "propagate_tape",
     "backprop_channel",
 ]
@@ -179,6 +183,30 @@ def simulate(points, params: ChannelParams, n_samples: int, seed: int):
         raise ValueError("need at least one sample")
     msgs = np.arange(n_samples) % points.size
     return msgs, propagate(points[msgs], params, make_rng((seed, 1)))
+
+
+# samples per block of every n-sized evaluation, which bounds its working memory
+BLOCK = 8192
+
+
+def in_blocks(fn, x) -> np.ndarray:
+    """fn applied to consecutive BLOCK-sample slices of x, its results joined
+    along the first (sample) axis into one preallocated array.
+
+    fn must treat each sample on its own.  A one-sample tail joins the block
+    before it: numpy multiplies a one-row matrix through BLAS gemv, which
+    rounds differently from the gemm of longer blocks, so blocks of two or
+    more samples keep every value bitwise equal to one call on all of x.
+    """
+    n = len(x)
+    edges = [0, *range(BLOCK, n - 1, BLOCK), n]
+    out = None
+    for lo, hi in zip(edges, edges[1:]):
+        part = fn(x[lo:hi])
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], part.dtype)
+        out[lo:hi] = part
+    return out
 
 
 def propagate_tape(x, noise: np.ndarray, params: ChannelParams):

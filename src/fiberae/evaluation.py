@@ -9,7 +9,10 @@ one value per pair.
 
 Every Monte-Carlo estimate reads the balanced messages and channel outputs
 of `channel.simulate` at the caller's seed, so at one seed every metric of
-one constellation scores the same outputs.
+one constellation scores the same outputs.  Detectors and the decoder run on
+`channel.in_blocks` slices of those outputs or of a raster's pixels, so
+their working memory is bounded by the block size; only the n-sized results
+(indices, or AIR's (n, M) posteriors) grow with n.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
-from fiberae.channel import ChannelParams, simulate
+from fiberae.channel import ChannelParams, in_blocks, simulate
 from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 from fiberae.nets import cross_entropy
 
@@ -132,7 +135,7 @@ def detector_for(kind: str, source, params: ChannelParams):
 def ser(source, detector, params: ChannelParams, n_samples: int, seed: int) -> float:
     """Monte-Carlo symbol error rate on `simulate`'s balanced messages."""
     msgs, y = simulate(_as_constellation(source).points, params, n_samples, seed)
-    return float(np.mean(detector(y) != msgs))
+    return float(np.mean(in_blocks(detector, y) != msgs))
 
 
 def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
@@ -144,13 +147,14 @@ def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
     learned constellation.
     """
     msgs, y = simulate(constellation_points(model), model.params, n_samples, seed)
-    return math.log2(model.m) - cross_entropy(decode(model, y), msgs)[0] / math.log(2.0)
+    posteriors = in_blocks(partial(decode, model), y)
+    return math.log2(model.m) - cross_entropy(posteriors, msgs)[0] / math.log(2.0)
 
 
 def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
     """(res, res) grid of detected message indices over the raster window."""
     mesh = spec.mesh()
-    return detector(mesh.ravel()).reshape(mesh.shape).astype(int)
+    return in_blocks(detector, mesh.ravel()).reshape(mesh.shape).astype(int)
 
 
 def sweep(

@@ -39,17 +39,24 @@ and channel it was built for, and `mutual_information` simulates exactly
 those, so its density and channel cannot disagree; it is log2 M less the
 mean entropy of the exact posterior.  ML decisions and mutual information
 use log-densities, which stay finite where a density underflows a double.
+
+Cost.  `log_densities` finds each ring's radial cell (node, weight and
+interpolated direction) once and reads every symbol of the ring from it.
+`mutual_information` evaluates its outputs in `channel.in_blocks` slices,
+and `evaluation` runs `ml_detect` the same way, so their working memory is
+bounded by the block size; only the per-sample results grow with n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import i0e, ive
 
-from fiberae.channel import ChannelParams, simulate
+from fiberae.channel import ChannelParams, in_blocks, simulate
 
 __all__ = [
     "Constellation",
@@ -132,12 +139,19 @@ class _RingDensity:
         z = self.beta0 * r
         return self.log_a0 - self.alpha0 * r * r + np.log(i0e(z)) + z
 
-    def log_profile(self, r: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        n_r, n_t = self.grid.shape
+    def radial_cell(self, r: np.ndarray):
+        """(i, fa, shift): the radial node below each r, the weight of the
+        node above it, and the row direction interpolated between the two."""
+        n_r = self.grid.shape[0]
         a = np.clip((r - self.r_lo) / self.dr, 0.0, n_r - 1)
         i = np.minimum(a.astype(int), n_r - 2)
         fa = a - i
-        shift = self.shift[i] + fa * (self.shift[i + 1] - self.shift[i])
+        return i, fa, self.shift[i] + fa * (self.shift[i + 1] - self.shift[i])
+
+    def log_profile(self, cell, theta: np.ndarray) -> np.ndarray:
+        """Log of the profile at the radial cell of `radial_cell` and angle theta."""
+        i, fa, shift = cell
+        n_t = self.grid.shape[1]
         b = np.mod((theta + shift) * (n_t / (2.0 * np.pi)), n_t)
         j = b.astype(int)
         fb = b - j
@@ -201,11 +215,14 @@ def log_densities(oracle: LikelihoodOracle, y) -> np.ndarray:
     """(M, n) matrix of each symbol's log-density at the outputs y."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     rho, theta = np.abs(y), np.angle(y)
+    phases = np.angle(oracle.constellation.points)
     out = np.empty((oracle.m,) + y.shape)
     for ring, d in enumerate(oracle.densities):
-        out[oracle.ring_of == ring] = d.log_radial(rho)
-    for s, phase in enumerate(np.angle(oracle.constellation.points)):
-        out[s] += oracle.densities[oracle.ring_of[s]].log_profile(rho, theta - phase)
+        symbols = np.flatnonzero(oracle.ring_of == ring)
+        out[symbols] = d.log_radial(rho)
+        cell = d.radial_cell(rho)  # once per ring, shared by its symbols
+        for s in symbols:
+            out[s] += d.log_profile(cell, theta - phases[s])
     return out
 
 
@@ -214,23 +231,29 @@ def ml_detect(oracle: LikelihoodOracle, y) -> np.ndarray:
     return np.argmax(log_densities(oracle, y), axis=0)
 
 
-def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
-    """Monte-Carlo mutual information in bits of the oracle's constellation.
-
-    log2 M minus the mean entropy of the exact posterior p(. | y_i) over the
-    outputs y_i that `simulate` gives for the oracle's constellation and
-    channel: `evaluation.air` with p for the decoder's posterior, averaged
-    over the message instead of read at the one sent.
-    """
-    _, y = simulate(oracle.constellation.points, oracle.params, n_samples, seed)
+def _posterior_entropy(oracle: LikelihoodOracle, y) -> np.ndarray:
+    """Entropy in nats of the exact posterior p(. | y) at each output."""
     dens = log_densities(oracle, y)
     # H = log sum e - sum e d / sum e over s, where d is the log-density less
-    # its peak and e = exp(d); row by row, as the matrix is the largest array
+    # its peak and e = exp(d), summed one symbol row at a time
     dens -= dens.max(axis=0)
     total = weighted = 0.0
     for d in dens:
         e = np.exp(d)
         total += e
         weighted += e * d
-    entropy = np.log(total) - weighted / total
+    return np.log(total) - weighted / total
+
+
+def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
+    """Monte-Carlo mutual information in bits of the oracle's constellation.
+
+    log2 M minus the mean entropy of the exact posterior p(. | y_i) over the
+    outputs y_i that `simulate` gives for the oracle's constellation and
+    channel: `evaluation.air` with p for the decoder's posterior, averaged
+    over the message instead of read at the one sent.  The entropies are
+    computed in `in_blocks` slices and averaged by one mean over all n.
+    """
+    _, y = simulate(oracle.constellation.points, oracle.params, n_samples, seed)
+    entropy = in_blocks(partial(_posterior_entropy, oracle), y)
     return float(np.mean(math.log2(oracle.m) - entropy / math.log(2.0)))

@@ -1,6 +1,8 @@
 """Tests for QAM baselines, SER/AIR measurement, rasters, and sweeps."""
 
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awgn_reference import awgn_qam_ser
-from fiberae.autoencoder import build_model
-from fiberae.channel import ChannelParams, watts_from_dbm
+import fiberae.channel
+from fiberae.autoencoder import build_model, constellation_points, decode, detect
+from fiberae.channel import ChannelParams, in_blocks, simulate, watts_from_dbm
 from fiberae.evaluation import (
     RasterSpec,
     air,
@@ -19,7 +22,7 @@ from fiberae.evaluation import (
     ser,
     sweep,
 )
-from fiberae.likelihood import Constellation, build_oracle, mutual_information
+from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 
 AWGN = ChannelParams(gamma=0.0)
 NLPN = ChannelParams()
@@ -243,3 +246,85 @@ class TestSweep:
         model = build_model(4, NLPN, 1e-3, seed=0)
         with pytest.raises(ValueError, match="trained on"):
             sweep([(0.0, model)], metric, AWGN, 100, seed=0, detector="ae")
+
+
+@pytest.fixture(scope="module")
+def m16():
+    """An untrained M = 16 model and the 16-QAM oracle, both at 0 dBm on NLPN."""
+    p = watts_from_dbm(0.0)
+    return build_model(16, NLPN, p, seed=3), build_oracle(qam(16, p), NLPN)
+
+
+def raster_spec(resolution: int) -> RasterSpec:
+    return RasterSpec(half_width=3 * math.sqrt(watts_from_dbm(0.0)), resolution=resolution)
+
+
+class TestBlocks:
+    """Evaluation runs in `channel.in_blocks` slices: no value may depend on
+    where the block edges fall, and working memory must not grow with n."""
+
+    ESTIMATES = {
+        # the posteriors air scores; a one-row block would change their last
+        # bits (numpy's one-row matmul is BLAS gemv), though not air's value
+        "decode": lambda model, oracle, n: in_blocks(
+            partial(decode, model), simulate(constellation_points(model), NLPN, n, 5)[1]),
+        "ser_ae": lambda model, oracle, n: ser(model, partial(detect, model), NLPN, n, 5),
+        "ser_ml": lambda model, oracle, n: ser(oracle.constellation, partial(ml_detect, oracle),
+                                               NLPN, n, 5),
+        "ser_mindist": lambda model, oracle, n: ser(oracle.constellation,
+                                                    min_distance_detector(oracle.constellation),
+                                                    NLPN, n, 5),
+        "air": lambda model, oracle, n: air(model, n, 5),
+        "mutual_information": lambda model, oracle, n: mutual_information(oracle, n, 5),
+    }
+    DETECTORS = {
+        "ae": lambda model, oracle: partial(detect, model),
+        "ml": lambda model, oracle: partial(ml_detect, oracle),
+        "mindist": lambda model, oracle: min_distance_detector(oracle.constellation),
+    }
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 1000, 1001, 2 * 1000 + 17])
+    @pytest.mark.parametrize("name", ESTIMATES)
+    def test_block_boundaries_are_invisible(self, name, n, m16, monkeypatch):
+        values = []
+        for block in (7, 1000, n):
+            monkeypatch.setattr(fiberae.channel, "BLOCK", block)
+            values.append(self.ESTIMATES[name](*m16, n))
+        bits = [np.asarray(v).tobytes() for v in values]
+        assert bits == [bits[-1]] * 3
+
+    @pytest.mark.parametrize("kind", DETECTORS)
+    def test_raster_block_boundaries_are_invisible(self, kind, m16, monkeypatch):
+        spec = raster_spec(32)
+        rasters = []
+        for block in (7, 1000, spec.resolution**2):
+            monkeypatch.setattr(fiberae.channel, "BLOCK", block)
+            rasters.append(decision_regions(self.DETECTORS[kind](*m16), spec))
+        assert all(np.array_equal(r, rasters[-1]) for r in rasters)
+
+    @staticmethod
+    def peak_mib(fn) -> float:
+        """Peak traced memory of fn() above what was allocated before it, in MiB."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", ["ae", "ml"])
+    def test_raster_memory_is_bounded(self, kind, m16):
+        # 160k pixels; detecting all at once peaked at 193 (ae) and 43 (ml) MiB
+        detector = self.DETECTORS[kind](*m16)
+        assert self.peak_mib(lambda: decision_regions(detector, raster_spec(400))) <= 16
+
+    def test_mutual_information_memory_is_bounded(self, m16):
+        # with the log-densities of all 100k outputs at once it peaked at 26 MiB
+        assert self.peak_mib(lambda: mutual_information(m16[1], 100_000, 5)) <= 16
+
+    def test_air_memory_is_bounded(self, m16):
+        # the (n, M) posteriors take 12 MiB; one decode of all 100k outputs
+        # peaked at 122 MiB
+        assert self.peak_mib(lambda: air(m16[0], 100_000, 5)) <= 32
