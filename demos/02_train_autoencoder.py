@@ -35,9 +35,9 @@ config = TrainConfig(batch_size=1024, batches=3000, learning_rate=1e-3,
                      seed=42, power_dbm=POWER_DBM)
 
 print(f"training M=16 at {POWER_DBM:+.1f} dBm for {config.batches} batches...")
-result = train(model, config)
-marks = result.losses[:: config.batches // 10]
-print("loss trace:", " ".join(f"{v:.3f}" for v in marks), f"-> {result.losses[-1]:.4f}")
+losses = train(model, config)
+marks = losses[:: config.batches // 10]
+print("loss trace:", " ".join(f"{v:.3f}" for v in marks), f"-> {losses[-1]:.4f}")
 print(f"(the first value sits near ln 16 = {np.log(16):.3f}: the fresh decoder is uniform)")
 
 # measure the symbol error rate of the learned system

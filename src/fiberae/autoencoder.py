@@ -54,7 +54,6 @@ from fiberae.nets import (
 __all__ = [
     "AutoencoderModel",
     "TrainConfig",
-    "TrainResult",
     "TrainingDivergedError",
     "CheckpointError",
     "build_model",
@@ -160,20 +159,17 @@ def _posteriors(model: AutoencoderModel, y: np.ndarray):
     rx_in = np.column_stack([k * y.real, k * y.imag])
     sig, activations = forward(model.rx, rx_in)
     sums = sig.sum(axis=1)
-    # sigmoid outputs are strictly positive unless they underflow; fall back
-    # to the uniform posterior for fully underflowed rows
-    dead = sums == 0.0
-    if np.any(dead):
-        sig = sig.copy()
-        sig[dead] = 1.0
-        sums = sig.sum(axis=1)
+    dead = np.count_nonzero(sums == 0.0)
+    if dead:
+        raise ValueError(f"{dead} of {len(sums)} receiver output rows underflow to 0, no posterior")
     return sig / sums[:, None], activations, sums
 
 
 def decode(model: AutoencoderModel, y) -> np.ndarray:
     """Posteriors (n, M) over messages for n received samples.
 
-    Components are nonnegative and each row sums to 1 by construction.
+    Components are nonnegative and each row sums to 1 by construction;
+    raises ValueError if every sigmoid output of a row underflows to 0.
     """
     return _posteriors(model, np.atleast_1d(np.asarray(y, dtype=complex)))[0]
 
@@ -192,7 +188,7 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     """Mean cross-entropy of one batch for a fixed noise realization, plus
     exact gradients for every transmitter/receiver parameter.
 
-    Returns (loss, grads aligned with model_parameters(), floor_hit_count).
+    Returns (loss, grads aligned with model_parameters()).
     The reverse pass runs decode -> channel tape -> normalization scale ->
     transmitter, with the scale differentiated through the batch's M symbol
     powers.
@@ -200,11 +196,11 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     points, scale, raw, mean_power, acts_tx = _normalize(model.tx, model.input_power_w)
     y, tape = propagate_tape(points[messages], noise, model.params)
     post, acts_rx, sums = _posteriors(model, y)
-    loss, clamped = cross_entropy(post, messages)
+    loss = float(np.mean(cross_entropy(post, messages)))
 
-    hit = np.flatnonzero(~clamped)
+    rows = np.arange(messages.shape[0])
     d_post = np.zeros_like(post)
-    d_post[hit, messages[hit]] = -1.0 / (messages.shape[0] * post[hit, messages[hit]])
+    d_post[rows, messages] = -1.0 / (messages.shape[0] * post[rows, messages])
     # posterior = sig / sum(sig): pull gradient through the normalization
     row_dot = np.sum(d_post * post, axis=1, keepdims=True)
     d_sig = (d_post - row_dot) / sums[:, None]
@@ -223,7 +219,7 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     d_raw = scale * (g_points - (t / (model.m * mean_power)) * raw)
     tx_grads, _ = backward(model.tx, acts_tx, d_raw)
 
-    return loss, tx_grads + rx_grads, int(np.count_nonzero(clamped))
+    return loss, tx_grads + rx_grads
 
 
 @dataclass
@@ -243,13 +239,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
 
 
-@dataclass
-class TrainResult:
-    losses: np.ndarray
-    floor_hits: int
-
-
-def train(model: AutoencoderModel, config: TrainConfig) -> TrainResult:
+def train(model: AutoencoderModel, config: TrainConfig) -> np.ndarray:
     """Adam-train the model in place; returns the per-batch mean loss trace.
 
     Batches are balanced: each message appears batch_size/M times (batch_size
@@ -267,16 +257,14 @@ def train(model: AutoencoderModel, config: TrainConfig) -> TrainResult:
     params = model_parameters(model)
     state = adam_init(params, learning_rate=config.learning_rate)
     losses = np.empty(config.batches)
-    floor_hits = 0
     for b in range(config.batches):
         noise = draw_noise(model.params, messages.shape, rng)
-        loss, grads, hits = batch_loss_and_grads(model, messages, noise)
+        loss, grads = batch_loss_and_grads(model, messages, noise)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at batch {b}")
         losses[b] = loss
-        floor_hits += hits
         adam_step(state, params, grads)
-    return TrainResult(losses=losses, floor_hits=floor_hits)
+    return losses
 
 
 # ---------------------------------------------------------------------------

@@ -189,20 +189,21 @@ def simulate(points, params: ChannelParams, n_samples: int, seed: int):
 BLOCK = 8192
 
 
-def in_blocks(fn, x) -> np.ndarray:
-    """fn applied to consecutive BLOCK-sample slices of x, its results joined
-    along the first (sample) axis into one preallocated array.
+def in_blocks(fn, *arrays) -> np.ndarray:
+    """fn applied to consecutive BLOCK-sample slices of the arrays, all cut
+    at the same edges, its results joined along the first (sample) axis into
+    one preallocated array.
 
     fn must treat each sample on its own.  A one-sample tail joins the block
     before it: numpy multiplies a one-row matrix through BLAS gemv, which
     rounds differently from the gemm of longer blocks, so blocks of two or
-    more samples keep every value bitwise equal to one call on all of x.
+    more samples keep every value bitwise equal to one call on whole arrays.
     """
-    n = len(x)
+    n = len(arrays[0])
     edges = [0, *range(BLOCK, n - 1, BLOCK), n]
     out = None
     for lo, hi in zip(edges, edges[1:]):
-        part = fn(x[lo:hi])
+        part = fn(*(a[lo:hi] for a in arrays))
         if out is None:
             out = np.empty((n,) + part.shape[1:], part.dtype)
         out[lo:hi] = part

@@ -213,14 +213,13 @@ def cmd_train(args) -> int:
         seed=config.train.seed,
         power_dbm=power,
     )
-    result = train(model, train_config)
+    losses = train(model, train_config)
     trace_path = out_dir / f"train_loss_m{config.model.m}_p{power:+.2f}dbm.csv"
-    losses = [f"{i},{v}" for i, v in enumerate(result.losses)]
-    _write_text(trace_path, config, config.train.seed, ["batch,loss", *losses])
+    rows = [f"{i},{v}" for i, v in enumerate(losses)]
+    _write_text(trace_path, config, config.train.seed, ["batch,loss", *rows])
     ckpt_path = out_dir / checkpoint_name(config.model.m, power)
     save_checkpoint(model, ckpt_path, train_config)
-    print(f"trained {ckpt_path} (final loss {result.losses[-1]:.6g}, "
-          f"posterior floor hits {result.floor_hits})")
+    print(f"trained {ckpt_path} (final loss {losses[-1]:.6g})")
     return 0
 
 

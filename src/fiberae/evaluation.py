@@ -12,7 +12,7 @@ of `channel.simulate` at the caller's seed, so at one seed every metric of
 one constellation scores the same outputs.  Detectors and the decoder run on
 `channel.in_blocks` slices of those outputs or of a raster's pixels, so
 their working memory is bounded by the block size; only the n-sized results
-(indices, or AIR's (n, M) posteriors) grow with n.
+(indices, or AIR's per-sample losses) grow with n.
 """
 
 from __future__ import annotations
@@ -142,13 +142,13 @@ def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
     """Achievable information rate of the model's own decoder, in bits.
 
     Scores the decoder's posteriors at `simulate`'s outputs with its
-    training loss: log2 M minus the cross-entropy in bits.  This
-    auxiliary-channel rate lower-bounds the mutual information of the
+    training loss: log2 M minus the mean per-sample cross-entropy in bits.
+    This auxiliary-channel rate lower-bounds the mutual information of the
     learned constellation.
     """
     msgs, y = simulate(constellation_points(model), model.params, n_samples, seed)
-    posteriors = in_blocks(partial(decode, model), y)
-    return math.log2(model.m) - cross_entropy(posteriors, msgs)[0] / math.log(2.0)
+    losses = in_blocks(lambda yb, mb: cross_entropy(decode(model, yb), mb), y, msgs)
+    return math.log2(model.m) - float(np.mean(losses)) / math.log(2.0)
 
 
 def decision_regions(detector, spec: RasterSpec) -> np.ndarray:

@@ -136,7 +136,7 @@ def end_to_end_error(m: int = 4, segments: int = 5, batch: int = 8, seed: int = 
     model = build_model(m, params, watts_from_dbm(0.0), seed)
     messages = np.arange(batch) % m
     noise = draw_noise(params, messages.shape, make_rng((seed, 1)))
-    _, grads, _ = batch_loss_and_grads(model, messages, noise)
+    _, grads = batch_loss_and_grads(model, messages, noise)
     return finite_difference_error(
         model_parameters(model), grads, lambda: batch_loss_and_grads(model, messages, noise)[0]
     )

@@ -8,8 +8,8 @@ per sample.
 
 The training loss is the cross-entropy of a one-hot target against a
 posterior, taken with the natural log (information rates elsewhere use
-log2).  Posteriors are floored at CROSS_ENTROPY_FLOOR so the loss stays
-finite; `cross_entropy` reports which rows hit the floor.
+log2).  `cross_entropy` gives it per sample, so a posterior of 0 for the
+true message reads as an infinite loss.
 
 Adam, with the fixed ADAM_BETA1, ADAM_BETA2 and ADAM_EPSILON, updates the
 arrays of `DenseNetwork.parameters()` in place, where the network holds them.
@@ -26,7 +26,6 @@ __all__ = [
     "ADAM_BETA1",
     "ADAM_BETA2",
     "ADAM_EPSILON",
-    "CROSS_ENTROPY_FLOOR",
     "AdamState",
     "DenseLayer",
     "DenseNetwork",
@@ -38,9 +37,6 @@ __all__ = [
     "glorot_layer",
     "network",
 ]
-
-# Floor applied to posteriors inside log(); keeps -log finite.
-CROSS_ENTROPY_FLOOR = 1e-12
 
 # Adam's moment decay rates and denominator offset (Kingma & Ba defaults)
 ADAM_BETA1 = 0.9
@@ -174,16 +170,14 @@ def backward(net: DenseNetwork, activations: list[np.ndarray], grad_output) -> t
     return param_grads, g
 
 
-def cross_entropy(posteriors: np.ndarray, messages: np.ndarray):
-    """Mean of -log(posterior of the true message) over a batch, natural log.
+def cross_entropy(posteriors: np.ndarray, messages: np.ndarray) -> np.ndarray:
+    """The n losses -log(posterior of the true message), natural log.
 
-    `posteriors` is (n, M), `messages` the n true indices.  Posteriors below
-    CROSS_ENTROPY_FLOOR are clamped so the loss stays finite; returns
-    (loss, boolean mask of the clamped rows).
+    `posteriors` is (n, M), `messages` the n true indices.  A zero posterior
+    gives +inf.
     """
-    p_true = posteriors[np.arange(messages.shape[0]), messages]
-    clamped = p_true < CROSS_ENTROPY_FLOOR
-    return float(np.mean(-np.log(np.maximum(p_true, CROSS_ENTROPY_FLOOR)))), clamped
+    with np.errstate(divide="ignore"):
+        return -np.log(posteriors[np.arange(messages.shape[0]), messages])
 
 
 @dataclass

@@ -125,6 +125,13 @@ class TestDecode:
         # uniform posterior everywhere: argmax must return message 0
         assert np.array_equal(detect(model, np.array([0.005 - 0.003j])), [0])
 
+    def test_underflowed_rows_rejected(self):
+        # every sigmoid output underflows to 0: no posterior can be formed
+        model = build_model(4, AWGN, 1e-3, seed=2)
+        model.rx.layers[-1].biases[:] = -1000.0
+        with pytest.raises(ValueError, match="3 of 3 receiver output rows"):
+            decode(model, np.array([0.0, 0.01, 0.02j]))
+
 
 class TestEndToEndGradients:
     def test_full_pipeline_matches_finite_differences(self):
@@ -138,7 +145,7 @@ class TestEndToEndGradients:
         model = build_model(4, params, 1e-3, seed=4)
         messages = np.arange(8) % 4
         noise = draw_noise(params, messages.shape, make_rng(5))
-        _, grads, _ = batch_loss_and_grads(model, messages, noise)
+        _, grads = batch_loss_and_grads(model, messages, noise)
         plist = model_parameters(model)
         # last tx layer: weights at index 2*(len(tx.layers)-1), biases next
         wi = 2 * (len(model.tx.layers) - 1)
@@ -160,16 +167,14 @@ class TestTrain:
     def test_first_loss_near_log_m(self):
         for m in (4, 16):
             model = build_model(m, NLPN, 1e-3, seed=8)
-            res = train(model, TrainConfig(batch_size=4 * m, batches=1, learning_rate=1e-3, seed=9))
-            assert res.losses[0] == pytest.approx(math.log(m), rel=0.10)
+            losses = train(model, TrainConfig(batch_size=4 * m, batches=1, learning_rate=1e-3, seed=9))
+            assert losses[0] == pytest.approx(math.log(m), rel=0.10)
 
     def test_reproducible_trace(self):
         cfg = TrainConfig(batch_size=16, batches=20, learning_rate=1e-3, seed=10)
         model_a = build_model(4, AWGN, 1e-3, seed=11)
         model_b = build_model(4, AWGN, 1e-3, seed=11)
-        res_a = train(model_a, cfg)
-        res_b = train(model_b, cfg)
-        assert np.array_equal(res_a.losses, res_b.losses)
+        assert np.array_equal(train(model_a, cfg), train(model_b, cfg))
         for a, b in zip(model_parameters(model_a), model_parameters(model_b)):
             assert np.array_equal(a, b)
 
@@ -182,6 +187,13 @@ class TestTrain:
         model = build_model(4, AWGN, 1e-3, seed=12)
         model.rx.layers[-1].weights[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
+            train(model, TrainConfig(batch_size=8, batches=2, learning_rate=1e-3, seed=13))
+
+    def test_zero_true_posterior_diverges(self):
+        # message 0's sigmoid underflows to 0: its samples have infinite loss
+        model = build_model(4, AWGN, 1e-3, seed=12)
+        model.rx.layers[-1].biases[0] = -1000.0
+        with pytest.raises(TrainingDivergedError, match="at batch 0"):
             train(model, TrainConfig(batch_size=8, batches=2, learning_rate=1e-3, seed=13))
 
     def test_power_override_applied(self):

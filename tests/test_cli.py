@@ -694,6 +694,42 @@ class TestEditedCheckpoint:
         assert not out.exists()
 
 
+class TestUnderflowedReceiver:
+    """A receiver whose sigmoid outputs underflow to 0 is reported, not
+    replaced: a zero true posterior is an infinite loss, and a row with no
+    posterior at all is an error."""
+
+    @staticmethod
+    def underflow(ckpt, messages) -> Path:
+        doc = json.loads(ckpt.read_text())
+        biases = doc["receiver"]["layers"][-1]["biases"]
+        for i in messages:
+            biases[i] = -1000.0
+        ckpt.write_text(json.dumps(doc))
+        return ckpt
+
+    def test_train_from_zero_posterior_exits_1(self, tmp_path, awgn_config, ckpt, capsys):
+        dead = self.underflow(ckpt, [0])
+        assert run_cli("train", "--config", awgn_config, "--power", "-3", "--batches", "2",
+                       "--warm-start", dead, "--out", tmp_path / "out") == 1
+        assert "non-finite loss" in capsys.readouterr().err
+
+    def test_air_of_zero_posterior_is_minus_inf(self, tmp_path, awgn_config, ckpt):
+        dead = self.underflow(ckpt, [0])
+        out = tmp_path / "out"
+        assert run_cli("air", "--config", awgn_config, "--checkpoint", dead,
+                       "--samples", "2000", "--out", out) == 0
+        rows = [l for l in (out / "air.csv").read_text().splitlines()
+                if l and not l.startswith(("#", "power_dbm"))]
+        assert [r.split(",")[2] for r in rows] == ["-inf"]
+
+    def test_regions_of_underflowed_rows_exits_1(self, tmp_path, awgn_config, ckpt, capsys):
+        dead = self.underflow(ckpt, range(4))
+        assert run_cli("regions", "--config", awgn_config, "--source", dead, "--detector", "ae",
+                       "--resolution", "24", "--out", tmp_path / "out") == 1
+        assert "576 of 576 receiver output rows" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # the child imports the same package as this process, installed or not
