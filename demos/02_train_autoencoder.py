@@ -18,7 +18,6 @@ Run:  python3 demos/02_train_autoencoder.py
 import numpy as np
 
 from fiberae.autoencoder import (
-    TrainConfig,
     build_model,
     constellation_points,
     detect,
@@ -31,12 +30,11 @@ POWER_DBM = 2.0
 params = ChannelParams()
 
 model = build_model(16, params, watts_from_dbm(POWER_DBM), seed=0)
-config = TrainConfig(batch_size=1024, batches=3000, learning_rate=1e-3,
-                     seed=42, power_dbm=POWER_DBM)
+settings = {"batch_size": 1024, "batches": 3000, "learning_rate": 1e-3, "seed": 42}
 
-print(f"training M=16 at {POWER_DBM:+.1f} dBm for {config.batches} batches...")
-losses = train(model, config)
-marks = losses[:: config.batches // 10]
+print(f"training M=16 at {POWER_DBM:+.1f} dBm for {settings['batches']} batches...")
+losses = train(model, **settings)
+marks = losses[:: settings["batches"] // 10]
 print("loss trace:", " ".join(f"{v:.3f}" for v in marks), f"-> {losses[-1]:.4f}")
 print(f"(the first value sits near ln 16 = {np.log(16):.3f}: the fresh decoder is uniform)")
 
@@ -52,5 +50,5 @@ print(f"constellation mean power: {np.mean(np.abs(pts) ** 2):.6e} W "
       f"(budget {model.input_power_w:.6e} W)")
 print("amplitude levels (sorted):", np.round(np.sort(np.abs(pts)) * 1e3, 3), "sqrt(mW)")
 
-save_checkpoint(model, "demo_checkpoint.json", config)
+save_checkpoint(model, "demo_checkpoint.json", {**settings, "power_dbm": POWER_DBM})
 print("\nwrote demo_checkpoint.json (inspect it: plain JSON, reloadable bit-exactly)")

@@ -38,7 +38,6 @@ from fiberae.channel import (
     draw_noise,
     make_rng,
     propagate_tape,
-    watts_from_dbm,
 )
 from fiberae.nets import (
     DenseLayer,
@@ -53,7 +52,6 @@ from fiberae.nets import (
 
 __all__ = [
     "AutoencoderModel",
-    "TrainConfig",
     "TrainingDivergedError",
     "CheckpointError",
     "build_model",
@@ -161,7 +159,7 @@ def _posteriors(model: AutoencoderModel, y: np.ndarray):
     sums = sig.sum(axis=1)
     dead = np.count_nonzero(sums == 0.0)
     if dead:
-        raise ValueError(f"{dead} of {len(sums)} receiver output rows underflow to 0, no posterior")
+        raise ValueError(f"{dead} of {len(sums)} receiver output rows in one decoded batch underflow to 0")
     return sig / sums[:, None], activations, sums
 
 
@@ -169,7 +167,8 @@ def decode(model: AutoencoderModel, y) -> np.ndarray:
     """Posteriors (n, M) over messages for n received samples.
 
     Components are nonnegative and each row sums to 1 by construction;
-    raises ValueError if every sigmoid output of a row underflows to 0.
+    raises ValueError if every sigmoid output of a row underflows to 0,
+    counting the rows of this call (evaluations decode BLOCK rows per call).
     """
     return _posteriors(model, np.atleast_1d(np.asarray(y, dtype=complex)))[0]
 
@@ -198,11 +197,13 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     post, acts_rx, sums = _posteriors(model, y)
     loss = float(np.mean(cross_entropy(post, messages)))
 
+    # a zero true posterior: infinite loss, which train reports, so no warnings
     rows = np.arange(messages.shape[0])
     d_post = np.zeros_like(post)
-    d_post[rows, messages] = -1.0 / (messages.shape[0] * post[rows, messages])
-    # posterior = sig / sum(sig): pull gradient through the normalization
-    row_dot = np.sum(d_post * post, axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_post[rows, messages] = -1.0 / (messages.shape[0] * post[rows, messages])
+        # posterior = sig / sum(sig): pull gradient through the normalization
+        row_dot = np.sum(d_post * post, axis=1, keepdims=True)
     d_sig = (d_post - row_dot) / sums[:, None]
 
     rx_grads, d_rx_in = backward(model.rx, acts_rx, d_sig)
@@ -222,42 +223,27 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     return loss, tx_grads + rx_grads
 
 
-@dataclass
-class TrainConfig:
-    """Settings for one training run at one input power."""
+def train(model: AutoencoderModel, batch_size: int, batches: int, learning_rate: float, seed: int) -> np.ndarray:
+    """Adam-train the model in place at its own power; returns the per-batch mean loss trace.
 
-    batch_size: int = 1024
-    batches: int = 10_000
-    learning_rate: float = 1e-3
-    seed: int = 0
-    power_dbm: float | None = None
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.batches < 1:
-            raise ValueError("batch_size and batches must be positive")
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be >= 0")
-
-
-def train(model: AutoencoderModel, config: TrainConfig) -> np.ndarray:
-    """Adam-train the model in place; returns the per-batch mean loss trace.
-
-    Batches are balanced: each message appears batch_size/M times (batch_size
-    must be a multiple of M).  Noise is redrawn every batch from a stream
-    seeded by config.seed, so identical configs reproduce identical traces.
-    Raises ValueError for a power_dbm that watts_from_dbm rejects, before the
-    model changes, and TrainingDivergedError if the loss stops being finite.
+    Batches are balanced: each message appears batch_size/M times.  Noise is
+    redrawn every batch from a stream seeded by seed, so identical settings
+    reproduce identical traces.  Raises ValueError before the model changes
+    unless batch_size is a positive multiple of M, batches >= 1 and
+    learning_rate >= 0, and TrainingDivergedError if the loss stops being finite.
     """
-    if config.batch_size % model.m != 0:
-        raise ValueError("batch_size must be a multiple of the constellation size")
-    if config.power_dbm is not None:
-        model.input_power_w = watts_from_dbm(config.power_dbm)
-    messages = np.arange(config.batch_size) % model.m
-    rng = make_rng(config.seed)
+    if not (batch_size >= 1 and batch_size % model.m == 0):
+        raise ValueError(f"batch_size must be a positive multiple of M = {model.m}, not {batch_size}")
+    if not batches >= 1:
+        raise ValueError(f"batches must be at least 1, not {batches}")
+    if not learning_rate >= 0:
+        raise ValueError(f"learning_rate must be at least 0, not {learning_rate}")
+    messages = np.arange(batch_size) % model.m
+    rng = make_rng(seed)
     params = model_parameters(model)
-    state = adam_init(params, learning_rate=config.learning_rate)
-    losses = np.empty(config.batches)
-    for b in range(config.batches):
+    state = adam_init(params, learning_rate=learning_rate)
+    losses = np.empty(batches)
+    for b in range(batches):
         noise = draw_noise(model.params, messages.shape, rng)
         loss, grads = batch_loss_and_grads(model, messages, noise)
         if not np.isfinite(loss):
@@ -292,8 +278,8 @@ def _net_from_dict(d: dict) -> DenseNetwork:
     return DenseNetwork(layers)
 
 
-def save_checkpoint(model: AutoencoderModel, path, train_config: TrainConfig | None = None) -> None:
-    """Write the model (and optionally its training config) as JSON text.
+def save_checkpoint(model: AutoencoderModel, path, train_config: dict | None = None) -> None:
+    """Write the model (and optionally a record of its training settings) as JSON text.
 
     Doubles are serialized via their shortest round-tripping decimal
     representation, so save -> load -> save is byte-identical.
@@ -307,7 +293,7 @@ def save_checkpoint(model: AutoencoderModel, path, train_config: TrainConfig | N
         "channel": asdict(model.params),
         "transmitter": _net_to_dict(model.tx),
         "receiver": _net_to_dict(model.rx),
-        "train_config": None if train_config is None else asdict(train_config),
+        "train_config": train_config,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)

@@ -24,7 +24,6 @@ import numpy as np
 from fiberae import __version__
 from fiberae.autoencoder import (
     AutoencoderModel,
-    TrainConfig,
     TrainingDivergedError,
     build_model,
     constellation_points,
@@ -190,7 +189,7 @@ def _layer_plan(model: AutoencoderModel) -> list:
 def cmd_train(args) -> int:
     power = _checked_power(float(args.power))
     config, out_dir = _setup(args, "checkpoints")
-    # the config's model; a warm start must match its layer plan
+    # the config's model at --power; a warm start with its layer plan lends it its weights
     model = build_model(
         config.model.m,
         config.channel.params(),
@@ -205,20 +204,19 @@ def cmd_train(args) -> int:
         warm = _checkpoint_on_channel(path, config)
         if _layer_plan(warm) != _layer_plan(model):
             raise CliError(f"warm-start checkpoint {path} has a different layer plan than the config")
-        model = warm
-    train_config = TrainConfig(
-        batch_size=config.batch_size(),
-        batches=config.train.batches,
-        learning_rate=config.train.learning_rate,
-        seed=config.train.seed,
-        power_dbm=power,
-    )
-    losses = train(model, train_config)
+        model.tx, model.rx = warm.tx, warm.rx
+    settings = {
+        "batch_size": config.batch_size(),
+        "batches": config.train.batches,
+        "learning_rate": config.train.learning_rate,
+        "seed": config.train.seed,
+    }
+    losses = train(model, **settings)
     trace_path = out_dir / f"train_loss_m{config.model.m}_p{power:+.2f}dbm.csv"
     rows = [f"{i},{v}" for i, v in enumerate(losses)]
     _write_text(trace_path, config, config.train.seed, ["batch,loss", *rows])
     ckpt_path = out_dir / checkpoint_name(config.model.m, power)
-    save_checkpoint(model, ckpt_path, train_config)
+    save_checkpoint(model, ckpt_path, {**settings, "power_dbm": power})
     print(f"trained {ckpt_path} (final loss {losses[-1]:.6g})")
     return 0
 

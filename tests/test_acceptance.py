@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from awgn_reference import awgn_mutual_information_bits, awgn_qam_ser
-from fiberae.autoencoder import TrainConfig, build_model, constellation_points, detect, train
+from fiberae.autoencoder import build_model, constellation_points, detect, train
 from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
 from fiberae.cli import main as cli_main
 from fiberae.evaluation import (
@@ -46,16 +46,7 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
 
 def train_model(power_dbm: float):
     model = build_model(16, NLPN, watts_from_dbm(power_dbm), seed=INIT_SEED)
-    train(
-        model,
-        TrainConfig(
-            batch_size=1024,
-            batches=TRAIN_BATCHES,
-            learning_rate=1e-3,
-            seed=TRAIN_SEED,
-            power_dbm=power_dbm,
-        ),
-    )
+    train(model, batch_size=1024, batches=TRAIN_BATCHES, learning_rate=1e-3, seed=TRAIN_SEED)
     return model
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from fiberae.autoencoder import (
     AutoencoderModel,
     CheckpointError,
-    TrainConfig,
     TrainingDivergedError,
     batch_loss_and_grads,
     build_model,
@@ -159,7 +158,7 @@ class TestTrain:
     def test_lr_zero_keeps_weights(self):
         model = build_model(4, AWGN, 1e-3, seed=6)
         before = [p.copy() for p in model_parameters(model)]
-        train(model, TrainConfig(batch_size=16, batches=5, learning_rate=0.0, seed=7))
+        train(model, batch_size=16, batches=5, learning_rate=0.0, seed=7)
         after = model_parameters(model)
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
@@ -167,62 +166,56 @@ class TestTrain:
     def test_first_loss_near_log_m(self):
         for m in (4, 16):
             model = build_model(m, NLPN, 1e-3, seed=8)
-            losses = train(model, TrainConfig(batch_size=4 * m, batches=1, learning_rate=1e-3, seed=9))
+            losses = train(model, batch_size=4 * m, batches=1, learning_rate=1e-3, seed=9)
             assert losses[0] == pytest.approx(math.log(m), rel=0.10)
 
     def test_reproducible_trace(self):
-        cfg = TrainConfig(batch_size=16, batches=20, learning_rate=1e-3, seed=10)
+        settings = {"batch_size": 16, "batches": 20, "learning_rate": 1e-3, "seed": 10}
         model_a = build_model(4, AWGN, 1e-3, seed=11)
         model_b = build_model(4, AWGN, 1e-3, seed=11)
-        assert np.array_equal(train(model_a, cfg), train(model_b, cfg))
+        assert np.array_equal(train(model_a, **settings), train(model_b, **settings))
         for a, b in zip(model_parameters(model_a), model_parameters(model_b)):
             assert np.array_equal(a, b)
 
     def test_batch_size_must_be_multiple_of_m(self):
         model = build_model(4, AWGN, 1e-3, seed=0)
         with pytest.raises(ValueError):
-            train(model, TrainConfig(batch_size=10, batches=1, learning_rate=1e-3, seed=0))
+            train(model, batch_size=10, batches=1, learning_rate=1e-3, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"batch_size": 0}, {"batch_size": 6}, {"batches": 0},
+         {"learning_rate": -1.0}, {"learning_rate": math.nan}],
+        ids=["batch_size-0", "batch_size-6", "batches-0", "learning_rate--1", "learning_rate-nan"],
+    )
+    def test_bad_settings_rejected_before_training(self, bad):
+        # M = 4: a batch of 0 or 6 is no positive multiple of M
+        model = build_model(4, AWGN, 1e-3, seed=14)
+        before = [p.copy() for p in model_parameters(model)]
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            train(model, **{"batch_size": 8, "batches": 1, "learning_rate": 1e-3, "seed": 15, **bad})
+        for a, b in zip(before, model_parameters(model)):
+            assert np.array_equal(a, b)
 
     def test_divergence_aborts_with_report(self):
         model = build_model(4, AWGN, 1e-3, seed=12)
         model.rx.layers[-1].weights[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
-            train(model, TrainConfig(batch_size=8, batches=2, learning_rate=1e-3, seed=13))
+            train(model, batch_size=8, batches=2, learning_rate=1e-3, seed=13)
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_true_posterior_diverges(self):
         # message 0's sigmoid underflows to 0: its samples have infinite loss
         model = build_model(4, AWGN, 1e-3, seed=12)
         model.rx.layers[-1].biases[0] = -1000.0
         with pytest.raises(TrainingDivergedError, match="at batch 0"):
-            train(model, TrainConfig(batch_size=8, batches=2, learning_rate=1e-3, seed=13))
-
-    def test_power_override_applied(self):
-        model = build_model(4, AWGN, 1e-3, seed=14)
-        train(
-            model,
-            TrainConfig(batch_size=8, batches=2, learning_rate=1e-3, seed=15, power_dbm=-10.0),
-        )
-        assert model.input_power_w == pytest.approx(watts_from_dbm(-10.0), rel=1e-15)
-        pts = constellation_points(model)
-        assert np.mean(np.abs(pts) ** 2) == pytest.approx(model.input_power_w, rel=1e-12)
-
-    @pytest.mark.parametrize("power_dbm", [math.nan, math.inf, -math.inf, 1e308])
-    def test_bad_power_rejected_before_training(self, power_dbm):
-        # NaN, infinities and a power that overflows a double in watts are
-        # rejected before the model is touched
-        model = build_model(4, AWGN, 1e-3, seed=14)
-        before = [p.copy() for p in model_parameters(model)]
-        with pytest.raises(ValueError):
-            train(model, TrainConfig(batch_size=8, batches=1, seed=15, power_dbm=power_dbm))
-        assert model.input_power_w == 1e-3
-        for a, b in zip(before, model_parameters(model)):
-            assert np.array_equal(a, b)
+            train(model, batch_size=8, batches=2, learning_rate=1e-3, seed=13)
 
     def test_awgn_high_snr_learns_clean_constellation(self):
         # M=4 at 40 dB SNR: after training, the measured SER must be < 1e-3
         params = ChannelParams(gamma=0.0, noise_power_w=watts_from_dbm(-40.0))
         model = build_model(4, params, watts_from_dbm(0.0), seed=0, hidden_width=16)
-        train(model, TrainConfig(batch_size=256, batches=2000, learning_rate=1e-3, seed=16))
+        train(model, batch_size=256, batches=2000, learning_rate=1e-3, seed=16)
         rng = make_rng(17)
         n = 40_000
         msgs = np.arange(n) % 4
@@ -233,8 +226,8 @@ class TestTrain:
 class TestCheckpoints:
     def test_round_trip_bytes_identical(self, tmp_path):
         model = build_model(4, NLPN, 1e-3, seed=18)
-        cfg = TrainConfig(batch_size=8, batches=1, learning_rate=1e-3, seed=19)
-        train(model, cfg)
+        cfg = {"batch_size": 8, "batches": 1, "learning_rate": 1e-3, "seed": 19}
+        train(model, **cfg)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_checkpoint(model, p1, cfg)

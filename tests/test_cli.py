@@ -708,11 +708,13 @@ class TestUnderflowedReceiver:
         ckpt.write_text(json.dumps(doc))
         return ckpt
 
+    @pytest.mark.filterwarnings("error")
     def test_train_from_zero_posterior_exits_1(self, tmp_path, awgn_config, ckpt, capsys):
         dead = self.underflow(ckpt, [0])
         assert run_cli("train", "--config", awgn_config, "--power", "-3", "--batches", "2",
                        "--warm-start", dead, "--out", tmp_path / "out") == 1
-        assert "non-finite loss" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
 
     def test_air_of_zero_posterior_is_minus_inf(self, tmp_path, awgn_config, ckpt):
         dead = self.underflow(ckpt, [0])
@@ -727,7 +729,15 @@ class TestUnderflowedReceiver:
         dead = self.underflow(ckpt, range(4))
         assert run_cli("regions", "--config", awgn_config, "--source", dead, "--detector", "ae",
                        "--resolution", "24", "--out", tmp_path / "out") == 1
-        assert "576 of 576 receiver output rows" in capsys.readouterr().err
+        assert "576 of 576 receiver output rows in one decoded batch" in capsys.readouterr().err
+
+    def test_regions_underflow_counts_one_block(self, tmp_path, awgn_config, ckpt, capsys):
+        # 200 x 200 = 40 000 pixels, decoded channel.BLOCK = 8192 at a time:
+        # the count is of the first decoded block, and the message says so
+        dead = self.underflow(ckpt, range(4))
+        assert run_cli("regions", "--config", awgn_config, "--source", dead, "--detector", "ae",
+                       "--resolution", "200", "--out", tmp_path / "out") == 1
+        assert "8192 of 8192 receiver output rows in one decoded batch" in capsys.readouterr().err
 
 
 class TestEntryPoint:

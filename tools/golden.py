@@ -50,6 +50,8 @@ def commands(inputs: Path) -> list[tuple[str, list]]:
         # criterion 9, plus a second checkpoint for the directory sweeps
         (ckpt_dir, ["train", *g0, "--power", "-3"]),
         (ckpt_dir, ["train", *g0, "--power", "-2"]),
+        # the -3 dBm weights, trained on at -1 dBm
+        ("gamma0/warm", ["train", *g0, "--power", "-1", "--warm-start", "{ckpt}"]),
         ("gamma0/ser_qam_ml", ["ser", *g0, "--source", "qam", "--detector", "ml",
                                "--power", "-10", "--samples", "4000"]),
         ("gamma0/mi_qam", ["mi", *g0, "--source", "qam", "--power", "-10", "--samples", "4000"]),
