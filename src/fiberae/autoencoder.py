@@ -36,6 +36,7 @@ from fiberae.channel import (
     ChannelParams,
     backprop_channel,
     draw_noise,
+    in_blocks,
     make_rng,
     propagate_tape,
 )
@@ -174,8 +175,12 @@ def decode(model: AutoencoderModel, y) -> np.ndarray:
 
 
 def detect(model: AutoencoderModel, y) -> np.ndarray:
-    """argmax of each posterior row; ties break to the lowest message index."""
-    return np.argmax(decode(model, y), axis=1)
+    """argmax of each posterior row; ties break to the lowest message index.
+
+    Decodes in `in_blocks` slices, all on the calling thread.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    return in_blocks(lambda yb: np.argmax(decode(model, yb), axis=1), y)
 
 
 def model_parameters(model: AutoencoderModel) -> list[np.ndarray]:

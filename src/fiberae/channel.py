@@ -25,15 +25,22 @@ deviates drawn in that order at every segment.  Identical seeds
 give bit-identical outputs.  Every Monte-Carlo estimate reads `simulate`:
 message i is i mod M, and all the noise comes from the one stream
 make_rng((seed, 1)), so its outputs depend on nothing but the points, the
-channel, the sample count and the seed.  Evaluations run their per-sample
-work over those outputs in `in_blocks` slices of BLOCK samples, so their
-working memory does not grow with the sample count.
+channel, the sample count and the seed.  With threads >= 2 `propagate`
+draws each segment's normals one segment ahead on one helper thread while
+the caller rotates the segment before: one stream, in the one order, never
+past segment K, so the values and the generator's final state are those of
+the serial draw.  Evaluations run their per-sample work over those outputs
+in `in_blocks` slices of BLOCK samples, so their working memory does not
+grow with the sample count; `pool_map` runs the slices, or any other
+independent tasks, on a thread pool without changing a result.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +54,7 @@ __all__ = [
     "propagate",
     "simulate",
     "BLOCK",
+    "pool_map",
     "in_blocks",
     "propagate_tape",
     "backprop_channel",
@@ -131,21 +139,30 @@ class PropagationTape:
     params: ChannelParams
 
 
-def _noise(params: ChannelParams, shape, rng: np.random.Generator, segments: int) -> np.ndarray:
-    """A (segments, *shape) tensor of CN(0, P_N/K) noise.
+def _complex_noise(re: np.ndarray, im: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """out <- scale * (re + j im), written into the real and imaginary views of
+    out, so no complex temporary is made."""
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
 
-    Segments are drawn in order, each one's real parts before its imaginary
-    parts, so one call for K segments and K calls for one draw the same values.
-    """
-    scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
-    z = rng.standard_normal((segments, 2) + tuple(shape))
-    return scale * (z[:, 0] + 1j * z[:, 1])
+
+def _noise_scale(params: ChannelParams) -> float:
+    """Standard deviation of each real component of one segment's noise."""
+    return np.sqrt(params.noise_power_w / (2.0 * params.segments))
 
 
 def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.ndarray:
     """Draw the full (K, *shape) noise tensor for one propagation: the values
-    `propagate` draws segment by segment from the same generator state."""
-    return _noise(params, shape, rng, params.segments)
+    `propagate` draws segment by segment from the same generator state.
+
+    Segments are drawn in order, each one's real parts before its imaginary
+    parts, so one draw for K segments and K draws of one give the same values.
+    """
+    shape = tuple(shape)
+    z = rng.standard_normal((params.segments, 2) + shape)
+    out = np.empty((params.segments,) + shape, dtype=complex)
+    return _complex_noise(z[:, 0], z[:, 1], _noise_scale(params), out)
 
 
 def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
@@ -165,45 +182,88 @@ def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.
     return y
 
 
-def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
+def _drawn_ahead(helper: ThreadPoolExecutor, draw, count: int):
+    """Yield `count` results of draw(), in order, each one run on the helper
+    thread while the caller works on the one before; none is started beyond
+    the last."""
+    ahead = helper.submit(draw)
+    for k in range(1, count + 1):
+        z = ahead.result()
+        if k < count:
+            ahead = helper.submit(draw)
+        yield z
+
+
+def propagate(x, params: ChannelParams, rng: np.random.Generator, threads: int = 1) -> np.ndarray:
     """Send a batch of complex samples (a scalar is a batch of one) through
     the channel with freshly drawn noise; returns an array of its shape.
 
-    Noise is drawn segment by segment from `rng`; nothing is recorded.
+    Noise is drawn segment by segment from `rng`; nothing is recorded.  With
+    threads >= 2 one helper thread draws the next segment's normals while
+    this one rotates the current segment; the values, and the state `rng` is
+    left in, are the same as with one thread.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
-    noise = (_noise(params, xs.shape, rng, 1)[0] for _ in range(params.segments))
-    return _recurse(xs, params.phase_rate, noise)
+    draw = partial(rng.standard_normal, (2,) + xs.shape)
+    scale = _noise_scale(params)
+    n = np.empty(xs.shape, dtype=complex)  # one segment's noise, refilled each segment
+
+    def noise(draws):
+        for z in draws:
+            yield _complex_noise(z[0], z[1], scale, n)
+
+    if threads < 2:
+        return _recurse(xs, params.phase_rate, noise(draw() for _ in range(params.segments)))
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        return _recurse(xs, params.phase_rate, noise(_drawn_ahead(helper, draw, params.segments)))
 
 
-def simulate(points, params: ChannelParams, n_samples: int, seed: int):
+def simulate(points, params: ChannelParams, n_samples: int, seed: int, threads: int = 1):
     """(msgs, y): messages arange(n_samples) % M and the channel outputs of
-    their points, with all the noise drawn from make_rng((seed, 1))."""
+    their points, with all the noise drawn from make_rng((seed, 1)); threads
+    >= 2 draw it one segment ahead (see `propagate`)."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     msgs = np.arange(n_samples) % points.size
-    return msgs, propagate(points[msgs], params, make_rng((seed, 1)))
+    return msgs, propagate(points[msgs], params, make_rng((seed, 1)), threads=threads)
 
 
 # samples per block of every n-sized evaluation, which bounds its working memory
 BLOCK = 8192
 
 
-def in_blocks(fn, *arrays) -> np.ndarray:
+def pool_map(fn, items, threads: int):
+    """fn(item) for each item, results in item order.
+
+    With threads >= 2 and more than one item, the calls run on a pool of up
+    to `threads` threads that is shut down before this returns, also when a
+    call raises (the first error in item order is raised); otherwise they
+    run lazily on the calling thread.
+    """
+    items = list(items)
+    if threads < 2 or len(items) < 2:
+        return map(fn, items)
+    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
+        return list(pool.map(fn, items))
+
+
+def in_blocks(fn, *arrays, threads: int = 1) -> np.ndarray:
     """fn applied to consecutive BLOCK-sample slices of the arrays, all cut
     at the same edges, its results joined along the first (sample) axis into
-    one preallocated array.
+    one preallocated array.  The slices run on `pool_map` with `threads`.
 
     fn must treat each sample on its own.  A one-sample tail joins the block
     before it: numpy multiplies a one-row matrix through BLAS gemv, which
     rounds differently from the gemm of longer blocks, so blocks of two or
     more samples keep every value bitwise equal to one call on whole arrays.
+    The edges do not depend on `threads`, so neither does any value.
     """
     n = len(arrays[0])
     edges = [0, *range(BLOCK, n - 1, BLOCK), n]
+    cuts = list(zip(edges, edges[1:]))
+    parts = pool_map(lambda cut: fn(*(a[slice(*cut)] for a in arrays)), cuts, threads)
     out = None
-    for lo, hi in zip(edges, edges[1:]):
-        part = fn(*(a[lo:hi] for a in arrays))
+    for (lo, hi), part in zip(cuts, parts):
         if out is None:
             out = np.empty((n,) + part.shape[1:], part.dtype)
         out[lo:hi] = part

@@ -274,7 +274,7 @@ def _overlay_rows(overlay_path: str) -> list[str]:
 def cmd_regions(args) -> int:
     config, out_dir = _setup(args, "outputs")
     ((power, source),) = _resolve_sources(args, config)
-    detector = detector_for(args.detector, source, config.channel.params())
+    detector = detector_for(args.detector, source, config.channel.params(), args.threads)
 
     # a configured half width is positive, so `or` only replaces None
     half_width = config.eval.raster_half_width or 3.0 * float(np.sqrt(watts_from_dbm(power)))
@@ -337,12 +337,24 @@ def cmd_export_constellation(args) -> int:
 # argument wiring
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     p.add_argument("--seed", type=int, dest=seed,
                    help=f"override config {seed}" if "." in seed else "seed (default 0)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for independent tasks (results do not depend on this)")
+    p.add_argument("--threads", type=int, default=_usable_cpus(),
+                   help="worker threads, by default the CPUs this process may use; several "
+                        "powers share them one each, and one power or raster uses them all to "
+                        "draw noise ahead and pool its exact-law or minimum-distance blocks "
+                        "(results do not depend on this)")
     p.add_argument("--out", help="output directory (overrides config paths)")
 
 

@@ -9,24 +9,31 @@ one value per pair.
 
 Every Monte-Carlo estimate reads the balanced messages and channel outputs
 of `channel.simulate` at the caller's seed, so at one seed every metric of
-one constellation scores the same outputs.  Detectors and the decoder run on
-`channel.in_blocks` slices of those outputs or of a raster's pixels, so
-their working memory is bounded by the block size; only the n-sized results
-(indices, or AIR's per-sample losses) grow with n.
+one constellation scores the same outputs.  Each detector, and `air`'s
+decoder, runs its per-sample work on `channel.in_blocks` slices of those
+outputs or of a raster's pixels, so its working memory is bounded by the
+block size; only the n-sized results (indices, or AIR's per-sample losses)
+grow with n.
+
+Threads.  `threads` never changes a value.  With threads >= 2 an estimate
+draws its channel outputs one segment ahead on a helper thread, and the
+exact-law and minimum-distance detectors run their slices on a pool.  A
+dense-net detector and `air`'s decoder keep their slices on the calling
+thread, as `detector_for` sets out.  A sweep of several points runs them on
+a pool with one thread each; a sweep of one point gives it every thread.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
-from fiberae.channel import ChannelParams, in_blocks, simulate
+from fiberae.channel import ChannelParams, in_blocks, pool_map, simulate
 from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 from fiberae.nets import cross_entropy
 
@@ -110,43 +117,53 @@ def _as_constellation(source) -> Constellation:
     raise TypeError(f"cannot interpret {type(source).__name__} as a constellation")
 
 
-def min_distance_detector(constellation: Constellation):
-    """Nearest-point decisions; ties break to the lowest index."""
+def min_distance_detector(constellation: Constellation, threads: int = 1):
+    """Nearest-point decisions in `in_blocks` slices on `threads`; ties break
+    to the lowest index."""
     pts = constellation.points
 
-    return lambda y: np.argmin(np.abs(y[..., None] - pts), axis=-1)
+    def nearest(y):
+        return np.argmin(np.abs(y[..., None] - pts), axis=-1)
+
+    return partial(in_blocks, nearest, threads=threads)
 
 
-def detector_for(kind: str, source, params: ChannelParams):
+def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
     """Detector of the given kind ("mindist", "ml" or "ae") for a source.
 
-    "ml" decides on the channel's exact law; "ae" needs a trained model as
-    the source.
+    "ml" decides on the channel's exact law, built and evaluated on
+    `threads`; "ae" needs a trained model as the source and decodes on the
+    calling thread whatever `threads` is: OpenBLAS already threads each
+    block's dense-net gemms, and pooling the blocks as well made the five
+    calls of the `ae_eval` benchmark slower (1.23-1.25 s to 1.41-1.44 s a
+    job on 2 CPUs).
     """
     if kind == "mindist":
-        return min_distance_detector(_as_constellation(source))
+        return min_distance_detector(_as_constellation(source), threads)
     if kind == "ae":
         return partial(detect, source)
     if kind == "ml":
-        return partial(ml_detect, build_oracle(_as_constellation(source), params))
+        oracle = build_oracle(_as_constellation(source), params, threads)
+        return partial(ml_detect, oracle, threads=threads)
     raise ValueError(f"unknown detector {kind!r}")
 
 
-def ser(source, detector, params: ChannelParams, n_samples: int, seed: int) -> float:
-    """Monte-Carlo symbol error rate on `simulate`'s balanced messages."""
-    msgs, y = simulate(_as_constellation(source).points, params, n_samples, seed)
-    return float(np.mean(in_blocks(detector, y) != msgs))
+def ser(source, detector, params: ChannelParams, n_samples: int, seed: int, threads: int = 1) -> float:
+    """Monte-Carlo symbol error rate on `simulate`'s balanced messages, drawn
+    on `threads`."""
+    msgs, y = simulate(_as_constellation(source).points, params, n_samples, seed, threads=threads)
+    return float(np.mean(detector(y) != msgs))
 
 
-def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
+def air(model: AutoencoderModel, n_samples: int, seed: int, threads: int = 1) -> float:
     """Achievable information rate of the model's own decoder, in bits.
 
-    Scores the decoder's posteriors at `simulate`'s outputs with its
-    training loss: log2 M minus the mean per-sample cross-entropy in bits.
-    This auxiliary-channel rate lower-bounds the mutual information of the
-    learned constellation.
+    Scores the decoder's posteriors at `simulate`'s outputs (drawn on
+    `threads`) with its training loss: log2 M minus the mean per-sample
+    cross-entropy in bits.  This auxiliary-channel rate lower-bounds the
+    mutual information of the learned constellation.
     """
-    msgs, y = simulate(constellation_points(model), model.params, n_samples, seed)
+    msgs, y = simulate(constellation_points(model), model.params, n_samples, seed, threads=threads)
     losses = in_blocks(lambda yb, mb: cross_entropy(decode(model, yb), mb), y, msgs)
     return math.log2(model.m) - float(np.mean(losses)) / math.log(2.0)
 
@@ -154,7 +171,7 @@ def air(model: AutoencoderModel, n_samples: int, seed: int) -> float:
 def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
     """(res, res) grid of detected message indices over the raster window."""
     mesh = spec.mesh()
-    return in_blocks(detector, mesh.ravel()).reshape(mesh.shape).astype(int)
+    return detector(mesh.ravel()).reshape(mesh.shape).astype(int)
 
 
 def sweep(
@@ -174,6 +191,8 @@ def sweep(
     selects "mindist", "ml" (exact-likelihood oracle), or "ae"; "ae" and
     "air" need a model at every power.  Every pair runs at `seed` itself, so
     a value does not depend on its position in the sweep or on `threads`.
+    Several pairs run on a pool of `threads` threads, one thread each; a
+    single pair runs with all of them.
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -187,16 +206,16 @@ def sweep(
     if untrained and (metric == "air" or metric == "ser" and detector == "ae"):
         raise ValueError(f"{metric} with the ae decoder needs a trained model at {untrained} dBm")
 
+    # several points share the threads one each; a single point gets them all
+    inner = threads if len(sources) == 1 else 1
+
     def one_power(source) -> float:
         if metric == "ser":
-            det = detector_for(detector, source, params)
-            return ser(source, det, params, n_samples, seed)
+            det = detector_for(detector, source, params, inner)
+            return ser(source, det, params, n_samples, seed, inner)
         if metric == "air":
-            return air(source, n_samples, seed)
-        oracle = build_oracle(_as_constellation(source), params)
-        return mutual_information(oracle, n_samples, seed)
+            return air(source, n_samples, seed, inner)
+        oracle = build_oracle(_as_constellation(source), params, inner)
+        return mutual_information(oracle, n_samples, seed, inner)
 
-    if threads > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one_power, [s for _, s in sources]))
-    return [one_power(s) for _, s in sources]
+    return list(pool_map(one_power, [s for _, s in sources], threads))

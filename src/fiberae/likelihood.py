@@ -42,9 +42,12 @@ use log-densities, which stay finite where a density underflows a double.
 
 Cost.  `log_densities` finds each ring's radial cell (node, weight and
 interpolated direction) once and reads every symbol of the ring from it.
-`mutual_information` evaluates its outputs in `channel.in_blocks` slices,
-and `evaluation` runs `ml_detect` the same way, so their working memory is
-bounded by the block size; only the per-sample results grow with n.
+`mutual_information` and `ml_detect` evaluate their outputs in
+`channel.in_blocks` slices, so their working memory is bounded by the block
+size; only the per-sample results grow with n.  Given threads >= 2, the
+slices, and `build_oracle`'s rings, run on a thread pool (`channel.pool_map`),
+and `mutual_information` draws its outputs one segment ahead; every value
+is the one of one thread.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from functools import partial
 import numpy as np
 from scipy.special import i0e, ive
 
-from fiberae.channel import ChannelParams, in_blocks, simulate
+from fiberae.channel import ChannelParams, in_blocks, pool_map, simulate
 
 __all__ = [
     "Constellation",
@@ -202,12 +205,14 @@ class LikelihoodOracle:
         return self.constellation.m
 
 
-def build_oracle(constellation: Constellation, params: ChannelParams) -> LikelihoodOracle:
-    """Exact per-symbol output densities, one grid per amplitude ring."""
+def build_oracle(constellation: Constellation, params: ChannelParams,
+                 threads: int = 1) -> LikelihoodOracle:
+    """Exact per-symbol output densities, one grid per amplitude ring; the
+    rings are built on `threads`."""
     if params.noise_power_w == 0:
         raise ValueError("a noiseless channel has no output density")
     amplitudes, ring_of = np.unique(np.abs(constellation.points), return_inverse=True)
-    densities = [_ring_density(float(a), params) for a in amplitudes]
+    densities = list(pool_map(partial(_ring_density, params=params), map(float, amplitudes), threads))
     return LikelihoodOracle(constellation, params, densities, ring_of)
 
 
@@ -226,9 +231,13 @@ def log_densities(oracle: LikelihoodOracle, y) -> np.ndarray:
     return out
 
 
-def ml_detect(oracle: LikelihoodOracle, y) -> np.ndarray:
-    """Most likely symbol for each sample; ties break to the lowest index."""
-    return np.argmax(log_densities(oracle, y), axis=0)
+def ml_detect(oracle: LikelihoodOracle, y, threads: int = 1) -> np.ndarray:
+    """Most likely symbol for each sample; ties break to the lowest index.
+
+    Evaluates the samples in `in_blocks` slices on `threads`.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    return in_blocks(lambda yb: np.argmax(log_densities(oracle, yb), axis=0), y, threads=threads)
 
 
 def _posterior_entropy(oracle: LikelihoodOracle, y) -> np.ndarray:
@@ -245,15 +254,17 @@ def _posterior_entropy(oracle: LikelihoodOracle, y) -> np.ndarray:
     return np.log(total) - weighted / total
 
 
-def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0) -> float:
+def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0,
+                       threads: int = 1) -> float:
     """Monte-Carlo mutual information in bits of the oracle's constellation.
 
     log2 M minus the mean entropy of the exact posterior p(. | y_i) over the
     outputs y_i that `simulate` gives for the oracle's constellation and
     channel: `evaluation.air` with p for the decoder's posterior, averaged
     over the message instead of read at the one sent.  The entropies are
-    computed in `in_blocks` slices and averaged by one mean over all n.
+    computed in `in_blocks` slices and averaged by one mean over all n;
+    `threads` draw the outputs ahead and run the slices.
     """
-    _, y = simulate(oracle.constellation.points, oracle.params, n_samples, seed)
-    entropy = in_blocks(partial(_posterior_entropy, oracle), y)
+    _, y = simulate(oracle.constellation.points, oracle.params, n_samples, seed, threads=threads)
+    entropy = in_blocks(partial(_posterior_entropy, oracle), y, threads=threads)
     return float(np.mean(math.log2(oracle.m) - entropy / math.log(2.0)))

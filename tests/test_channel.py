@@ -1,6 +1,8 @@
 """Tests for the per-sample nonlinear fiber channel."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,18 @@ from fiberae.channel import (
 from fiberae.gradcheck import channel_error, finite_difference_error
 
 TWO_PI = 2.0 * math.pi
+
+
+@pytest.fixture
+def fast_switching():
+    """Hand the interpreter lock between threads as often as it allows, so
+    that a draw racing the caller's use of the generator would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestUnits:
@@ -113,6 +127,46 @@ class TestRandomness:
             im = rng.standard_normal((4, 2))
             reference[k] = scale * (re + 1j * im)
         assert np.array_equal(draw_noise(params, (4, 2), make_rng(3)), reference)
+
+    @pytest.mark.parametrize("shape", [(1,), (3,), (1024,), (100_000,)])
+    def test_noise_is_the_complex_formula(self, shape):
+        # the parts are written into the real and imaginary views of one
+        # array; the bits are those of forming scale * (re + 1j*im)
+        params = ChannelParams(segments=2)
+        z = make_rng(4).standard_normal((2, 2) + shape)
+        scale = np.sqrt(params.noise_power_w / (2.0 * params.segments))
+        reference = scale * (z[:, 0] + 1j * z[:, 1])
+        assert draw_noise(params, shape, make_rng(4)).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("segments", [1, 2, 50])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_draw_ahead_is_the_serial_draw(self, segments, n, threads, fast_switching):
+        # one helper draws the next segment from the same stream: the same
+        # values, and no draw past the last segment
+        params = ChannelParams(segments=segments)
+        x = 0.03 * np.exp(1j * np.linspace(0.0, 6.0, n))
+        serial, ahead = make_rng(9), make_rng(9)
+        y = propagate(x, params, serial)
+        assert propagate(x, params, ahead, threads=threads).tobytes() == y.tobytes()
+        assert repr(ahead.bit_generator.state) == repr(serial.bit_generator.state)
+
+    def test_draw_ahead_error_reaches_the_caller(self):
+        class FailingRng:
+            draws = 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                if self.draws == 3:
+                    raise RuntimeError("draw 3 failed")
+                return np.zeros(shape)
+
+        rng = FailingRng()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw 3 failed"):
+            propagate(np.ones(4, dtype=complex), ChannelParams(segments=5), rng, threads=2)
+        assert rng.draws == 3
+        assert threading.active_count() == before
 
     def test_make_rng_tree(self):
         seq = np.random.SeedSequence

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import fiberae
 from awgn_reference import awgn_qam_ser
 from fiberae.channel import watts_from_dbm
-from fiberae.cli import MAX_SWEEP_POINTS, CliError, _parse_powers, main
+from fiberae.cli import MAX_SWEEP_POINTS, CliError, _parse_powers, build_parser, main
 from fiberae.config import _BLOCKS, ConfigError, config_hash, load_config, resolved_json
 
 AWGN_CONFIG = {
@@ -785,3 +785,21 @@ class TestEntryPoint:
         assert run_cli("export-constellation", "--checkpoint",
                        tmp_path / "nope.json", "--out", tmp_path) == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestThreadsDefault:
+    """--threads defaults to the CPUs this process may run on, not to the
+    machine's count, so a process limited by its affinity mask does not
+    oversubscribe its CPUs."""
+
+    ARGV = ["ser", "--source", "qam", "--power", "0"]
+
+    def test_default_is_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert build_parser().parse_args(self.ARGV).threads == 3
+
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert build_parser().parse_args(self.ARGV).threads == 5

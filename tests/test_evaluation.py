@@ -1,6 +1,7 @@
 """Tests for QAM baselines, SER/AIR measurement, rasters, and sweeps."""
 
 import math
+import threading
 import tracemalloc
 from functools import partial
 
@@ -12,11 +13,12 @@ from hypothesis import strategies as st
 from awgn_reference import awgn_qam_ser
 import fiberae.channel
 from fiberae.autoencoder import build_model, constellation_points, decode, detect
-from fiberae.channel import ChannelParams, in_blocks, simulate, watts_from_dbm
+from fiberae.channel import BLOCK, ChannelParams, in_blocks, simulate, watts_from_dbm
 from fiberae.evaluation import (
     RasterSpec,
     air,
     decision_regions,
+    detector_for,
     min_distance_detector,
     qam,
     ser,
@@ -225,6 +227,27 @@ class TestSweep:
         b = sweep(sources, "ser", AWGN, 20_000, seed=4, detector="mindist", threads=3)
         assert a == b
 
+    @pytest.mark.parametrize("metric, estimate", [("ser", "ser"), ("air", "air"),
+                                                  ("mi", "mutual_information")])
+    def test_one_point_gets_every_thread(self, metric, estimate, monkeypatch):
+        # several points share the threads one each (nested pools were
+        # slower); a single point runs its own work on all of them
+        seen = []
+
+        def record(*args):
+            seen.append(args[-1])  # each estimate takes its threads last
+            return 0.0
+
+        monkeypatch.setattr(f"fiberae.evaluation.{estimate}", record)
+        powers = [-6.0, -3.0]
+        if metric == "air":
+            sources = [(p, build_model(4, AWGN, watts_from_dbm(p), seed=0)) for p in powers]
+        else:
+            sources = qpsk_sources(powers)
+        sweep(sources[:1], metric, AWGN, 100, seed=0, threads=3)
+        sweep(sources, metric, AWGN, 100, seed=0, threads=3)
+        assert seen == [3, 1, 1]
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             sweep([(0.0, qam(4, 1e-3))], "ber", AWGN, 100, seed=0)
@@ -336,3 +359,87 @@ class TestBlocks:
         # keeping the (n, M) posteriors peaked at 27 MiB, one decode of all
         # 100k outputs at 122 MiB
         assert self.peak_mib(lambda: air(m16[0], 100_000, 5)) <= 16
+
+
+class TestThreads:
+    """`threads` draws the channel outputs ahead and runs blocks and rings on
+    a pool: no value may depend on the thread count, and no thread may
+    outlive the call that started it."""
+
+    @staticmethod
+    def outputs(oracle, n, threads=1):
+        return simulate(oracle.constellation.points, NLPN, n, 5, threads=threads)[1]
+
+    ESTIMATES = {
+        "outputs": lambda model, oracle, n, t: TestThreads.outputs(oracle, n, t),
+        "detect_ae": lambda model, oracle, n, t: detector_for("ae", model, NLPN, t)(
+            TestThreads.outputs(oracle, n)),
+        "detect_ml": lambda model, oracle, n, t: ml_detect(
+            oracle, TestThreads.outputs(oracle, n), threads=t),
+        "detect_mindist": lambda model, oracle, n, t: detector_for(
+            "mindist", oracle.constellation, NLPN, t)(TestThreads.outputs(oracle, n)),
+        "ser_ae": lambda model, oracle, n, t: ser(model, detector_for("ae", model, NLPN, t),
+                                                  NLPN, n, 5, t),
+        "ser_ml": lambda model, oracle, n, t: ser(oracle.constellation,
+                                                  partial(ml_detect, oracle, threads=t),
+                                                  NLPN, n, 5, t),
+        "ser_mindist": lambda model, oracle, n, t: ser(
+            oracle.constellation, detector_for("mindist", oracle.constellation, NLPN, t),
+            NLPN, n, 5, t),
+        "air": lambda model, oracle, n, t: air(model, n, 5, t),
+        "mutual_information": lambda model, oracle, n, t: mutual_information(oracle, n, 5, t),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 8193, 3 * BLOCK + 1])
+    @pytest.mark.parametrize("name", ESTIMATES)
+    def test_threads_leave_every_value_unchanged(self, name, n, m16):
+        bits = [np.asarray(self.ESTIMATES[name](*m16, n, t)).tobytes() for t in (1, 2, 3)]
+        assert bits == [bits[0]] * 3
+
+    @pytest.mark.parametrize("kind", ["ae", "ml", "mindist"])
+    def test_raster_does_not_depend_on_threads(self, kind, m16):
+        # 130^2 = 16 900 pixels: three blocks
+        model, oracle = m16
+        source = model if kind == "ae" else oracle.constellation
+        rasters = [decision_regions(detector_for(kind, source, NLPN, t), raster_spec(130))
+                   for t in (1, 2, 3)]
+        assert all(np.array_equal(r, rasters[0]) for r in rasters)
+
+    def test_oracle_grids_do_not_depend_on_threads(self, m16):
+        # 16-QAM has three rings, built on the pool at 2 and 3 threads
+        const = m16[1].constellation
+        oracles = [build_oracle(const, NLPN, t) for t in (1, 2, 3)]
+        fields = [[[np.asarray(v).tobytes() for v in vars(d).values()] for d in o.densities]
+                  for o in oracles]
+        assert fields == [fields[0]] * 3
+        assert all(np.array_equal(o.ring_of, oracles[0].ring_of) for o in oracles)
+
+    def test_no_thread_outlives_an_evaluation(self, m16):
+        model, oracle = m16
+        before = threading.active_count()
+        mutual_information(oracle, 3 * BLOCK + 1, 5, threads=3)
+        ser(model, detector_for("ae", model, NLPN, 3), NLPN, 3 * BLOCK + 1, 5, threads=3)
+        decision_regions(detector_for("ml", oracle.constellation, NLPN, 3), raster_spec(130))
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_raising_block(self):
+        def fail_on_second_block(y):
+            if y[0] == BLOCK:
+                raise ValueError("block 2 failed")
+            return y
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 2 failed"):
+            in_blocks(fail_on_second_block, np.arange(3 * BLOCK + 1), threads=3)
+        assert threading.active_count() == before
+
+    def test_underflow_error_keeps_its_message(self):
+        # every sigmoid output underflows: the first block's count is
+        # reported, whatever the thread count
+        model = build_model(4, AWGN, 1e-3, seed=2)
+        model.rx.layers[-1].biases[:] = -1000.0
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"^{BLOCK} of {BLOCK} receiver output rows in one "
+                                             "decoded batch underflow to 0$"):
+            sweep([(0.0, model)], "ser", AWGN, 3 * BLOCK + 1, seed=0, detector="ae", threads=3)
+        assert threading.active_count() == before
