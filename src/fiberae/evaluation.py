@@ -17,10 +17,11 @@ grow with n.
 
 Threads.  `threads` never changes a value.  With threads >= 2 an estimate
 draws its channel outputs one segment ahead on a helper thread, and the
-exact-law and minimum-distance detectors run their slices on a pool.  A
-dense-net detector and `air`'s decoder keep their slices on the calling
-thread, as `detector_for` sets out.  A sweep of several points runs them on
-a pool with one thread each; a sweep of one point gives it every thread.
+exact-law detector runs its slices on a pool.  The dense-net and
+minimum-distance detectors and `air`'s decoder keep their slices on the
+calling thread, as `detector_for` sets out.  A sweep of several points runs
+them on a pool with one thread each; a sweep of one point gives it every
+thread.
 """
 
 from __future__ import annotations
@@ -117,29 +118,31 @@ def _as_constellation(source) -> Constellation:
     raise TypeError(f"cannot interpret {type(source).__name__} as a constellation")
 
 
-def min_distance_detector(constellation: Constellation, threads: int = 1):
-    """Nearest-point decisions in `in_blocks` slices on `threads`; ties break
-    to the lowest index."""
+def min_distance_detector(constellation: Constellation):
+    """Nearest-point decisions in `in_blocks` slices; ties break to the
+    lowest index."""
     pts = constellation.points
 
     def nearest(y):
         return np.argmin(np.abs(y[..., None] - pts), axis=-1)
 
-    return partial(in_blocks, nearest, threads=threads)
+    return partial(in_blocks, nearest)
 
 
 def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
     """Detector of the given kind ("mindist", "ml" or "ae") for a source.
 
     "ml" decides on the channel's exact law, built and evaluated on
-    `threads`; "ae" needs a trained model as the source and decodes on the
-    calling thread whatever `threads` is: OpenBLAS already threads each
-    block's dense-net gemms, and pooling the blocks as well made the five
-    calls of the `ae_eval` benchmark slower (1.23-1.25 s to 1.41-1.44 s a
-    job on 2 CPUs).
+    `threads`.  "ae" needs a trained model as the source; it and "mindist"
+    run on the calling thread whatever `threads` is.  OpenBLAS already
+    threads each block's dense-net gemms, and pooling the blocks as well
+    made the five calls of the `ae_eval` benchmark slower (1.23-1.25 s to
+    1.41-1.44 s a job on 2 CPUs); a nearest-point block is so cheap that
+    pooling saved 2.5 ms of a 145 ms one-point `ser` on 100k samples, less
+    than the calls' spread.
     """
     if kind == "mindist":
-        return min_distance_detector(_as_constellation(source), threads)
+        return min_distance_detector(_as_constellation(source))
     if kind == "ae":
         return partial(detect, source)
     if kind == "ml":
@@ -150,7 +153,12 @@ def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
 
 def ser(source, detector, params: ChannelParams, n_samples: int, seed: int, threads: int = 1) -> float:
     """Monte-Carlo symbol error rate on `simulate`'s balanced messages, drawn
-    on `threads`."""
+    on `threads`.
+
+    The detector gets all n outputs at once; to bound its working memory it
+    must cut them into `in_blocks` slices itself, as the detectors of
+    `detector_for` do.
+    """
     msgs, y = simulate(_as_constellation(source).points, params, n_samples, seed, threads=threads)
     return float(np.mean(detector(y) != msgs))
 
@@ -169,7 +177,11 @@ def air(model: AutoencoderModel, n_samples: int, seed: int, threads: int = 1) ->
 
 
 def decision_regions(detector, spec: RasterSpec) -> np.ndarray:
-    """(res, res) grid of detected message indices over the raster window."""
+    """(res, res) grid of detected message indices over the raster window.
+
+    The detector gets all res^2 pixels at once and, as in `ser`, must cut
+    them into `in_blocks` slices itself to bound its working memory.
+    """
     mesh = spec.mesh()
     return detector(mesh.ravel()).reshape(mesh.shape).astype(int)
 
