@@ -23,16 +23,13 @@ Generator backed by the counter-based Philox bit generator and seeded from
 a SeedSequence of an int or tuple entropy, with real and imaginary normal
 deviates drawn in that order at every segment.  Identical seeds
 give bit-identical outputs.  Every Monte-Carlo estimate reads `simulate`:
-message i is i mod M, and all the noise comes from the one stream
-make_rng((seed, 1)), so its outputs depend on nothing but the points, the
-channel, the sample count and the seed.  With threads >= 2 `propagate`
-draws each segment's normals one segment ahead on one helper thread while
-the caller rotates the segment before: one stream, in the one order, never
-past segment K, so the values and the generator's final state are those of
-the serial draw.  Evaluations run their per-sample work over those outputs
-in `in_blocks` slices of BLOCK samples, so their working memory does not
-grow with the sample count; `pool_map` runs the slices, or any other
-independent tasks, on a thread pool without changing a result.
+message i is i mod M, and the noise of samples [STREAM*b, STREAM*(b+1))
+comes from the stream make_rng((seed, 1, b + 1)), so its outputs depend on
+nothing but the points, the channel, the sample count and the seed.
+Evaluations run their per-sample work over those outputs in `in_blocks`
+slices of BLOCK samples, so their working memory does not grow with the
+sample count.  `pool_map` runs the streams, the slices, or any other
+independent tasks on a thread pool without changing a result.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -53,6 +49,7 @@ __all__ = [
     "draw_noise",
     "propagate",
     "simulate",
+    "STREAM",
     "BLOCK",
     "pool_map",
     "in_blocks",
@@ -182,50 +179,48 @@ def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.
     return y
 
 
-def _drawn_ahead(helper: ThreadPoolExecutor, draw, count: int):
-    """Yield `count` results of draw(), in order, each one run on the helper
-    thread while the caller works on the one before; none is started beyond
-    the last."""
-    ahead = helper.submit(draw)
-    for k in range(1, count + 1):
-        z = ahead.result()
-        if k < count:
-            ahead = helper.submit(draw)
-        yield z
-
-
-def propagate(x, params: ChannelParams, rng: np.random.Generator, threads: int = 1) -> np.ndarray:
+def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     """Send a batch of complex samples (a scalar is a batch of one) through
     the channel with freshly drawn noise; returns an array of its shape.
 
-    Noise is drawn segment by segment from `rng`; nothing is recorded.  With
-    threads >= 2 one helper thread draws the next segment's normals while
-    this one rotates the current segment; the values, and the state `rng` is
-    left in, are the same as with one thread.
+    Noise is drawn segment by segment from `rng`; nothing is recorded.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
-    draw = partial(rng.standard_normal, (2,) + xs.shape)
     scale = _noise_scale(params)
     n = np.empty(xs.shape, dtype=complex)  # one segment's noise, refilled each segment
 
-    def noise(draws):
-        for z in draws:
+    def noise():
+        for _ in range(params.segments):
+            z = rng.standard_normal((2,) + xs.shape)
             yield _complex_noise(z[0], z[1], scale, n)
 
-    if threads < 2:
-        return _recurse(xs, params.phase_rate, noise(draw() for _ in range(params.segments)))
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        return _recurse(xs, params.phase_rate, noise(_drawn_ahead(helper, draw, params.segments)))
+    return _recurse(xs, params.phase_rate, noise())
+
+
+# samples per noise stream of `simulate`.  The streams define the outputs,
+# so this stays apart from BLOCK, which may change without moving a value.
+STREAM = 8192
 
 
 def simulate(points, params: ChannelParams, n_samples: int, seed: int, threads: int = 1):
     """(msgs, y): messages arange(n_samples) % M and the channel outputs of
-    their points, with all the noise drawn from make_rng((seed, 1)); threads
-    >= 2 draw it one segment ahead (see `propagate`)."""
+    their points.
+
+    Samples [STREAM*b, STREAM*(b+1)) take their noise from the stream
+    make_rng((seed, 1, b + 1)).  The streams run on `pool_map` with
+    `threads`, each writing its own slice, so no value depends on `threads`.
+    """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     msgs = np.arange(n_samples) % points.size
-    return msgs, propagate(points[msgs], params, make_rng((seed, 1)), threads=threads)
+    y = np.empty(n_samples, dtype=complex)
+
+    def stream(lo):
+        part = slice(lo, lo + STREAM)
+        y[part] = propagate(points[msgs[part]], params, make_rng((seed, 1, lo // STREAM + 1)))
+
+    list(pool_map(stream, range(0, n_samples, STREAM), threads))
+    return msgs, y
 
 
 # samples per block of every n-sized evaluation, which bounds its working memory

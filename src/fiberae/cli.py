@@ -353,8 +353,8 @@ def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
     p.add_argument("--threads", type=int, default=_usable_cpus(),
                    help="worker threads, by default the CPUs this process may use; several "
                         "powers share them one each, and one power or raster uses them all to "
-                        "draw noise ahead and pool its exact-law oracle's rings and blocks "
-                        "(results do not depend on this)")
+                        "pool its channel noise streams and its exact-law oracle's rings and "
+                        "blocks (results do not depend on this)")
     p.add_argument("--out", help="output directory (overrides config paths)")
 
 

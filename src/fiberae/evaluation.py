@@ -16,8 +16,8 @@ block size; only the n-sized results (indices, or AIR's per-sample losses)
 grow with n.
 
 Threads.  `threads` never changes a value.  With threads >= 2 an estimate
-draws its channel outputs one segment ahead on a helper thread, and the
-exact-law detector runs its slices on a pool.  The dense-net and
+propagates the noise streams of its channel outputs on a pool, and the
+exact-law detector runs its slices on one.  The dense-net and
 minimum-distance detectors and `air`'s decoder keep their slices on the
 calling thread, as `detector_for` sets out.  A sweep of several points runs
 them on a pool with one thread each; a sweep of one point gives it every
@@ -134,12 +134,10 @@ def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
 
     "ml" decides on the channel's exact law, built and evaluated on
     `threads`.  "ae" needs a trained model as the source; it and "mindist"
-    run on the calling thread whatever `threads` is.  OpenBLAS already
-    threads each block's dense-net gemms, and pooling the blocks as well
-    made the five calls of the `ae_eval` benchmark slower (1.23-1.25 s to
-    1.41-1.44 s a job on 2 CPUs); a nearest-point block is so cheap that
-    pooling saved 2.5 ms of a 145 ms one-point `ser` on 100k samples, less
-    than the calls' spread.
+    run on the calling thread whatever `threads` is.  Pooled dense-net
+    blocks contend with OpenBLAS's own threads for the CPUs and ran slower
+    than serial ones, and a nearest-point block is too cheap for pooling to
+    save more than the calls' spread.
     """
     if kind == "mindist":
         return min_distance_detector(_as_constellation(source))

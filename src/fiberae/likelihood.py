@@ -45,9 +45,9 @@ interpolated direction) once and reads every symbol of the ring from it.
 `mutual_information` and `ml_detect` evaluate their outputs in
 `channel.in_blocks` slices, so their working memory is bounded by the block
 size; only the per-sample results grow with n.  Given threads >= 2, the
-slices, and `build_oracle`'s rings, run on a thread pool (`channel.pool_map`),
-and `mutual_information` draws its outputs one segment ahead; every value
-is the one of one thread.
+slices, `build_oracle`'s rings and the noise streams of `mutual_information`'s
+outputs run on a thread pool (`channel.pool_map`); every value is the one of
+one thread.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0,
     channel: `evaluation.air` with p for the decoder's posterior, averaged
     over the message instead of read at the one sent.  The entropies are
     computed in `in_blocks` slices and averaged by one mean over all n;
-    `threads` draw the outputs ahead and run the slices.
+    `threads` run the outputs' noise streams and the slices.
     """
     _, y = simulate(oracle.constellation.points, oracle.params, n_samples, seed, threads=threads)
     entropy = in_blocks(partial(_posterior_entropy, oracle), y, threads=threads)

@@ -1,13 +1,12 @@
 """Tests for the per-sample nonlinear fiber channel."""
 
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
 
 from fiberae.channel import (
+    STREAM,
     ChannelParams,
     backprop_channel,
     dbm_from_watts,
@@ -21,18 +20,6 @@ from fiberae.channel import (
 from fiberae.gradcheck import channel_error, finite_difference_error
 
 TWO_PI = 2.0 * math.pi
-
-
-@pytest.fixture
-def fast_switching():
-    """Hand the interpreter lock between threads as often as it allows, so
-    that a draw racing the caller's use of the generator would show."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
 
 
 class TestUnits:
@@ -138,36 +125,6 @@ class TestRandomness:
         reference = scale * (z[:, 0] + 1j * z[:, 1])
         assert draw_noise(params, shape, make_rng(4)).tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("segments", [1, 2, 50])
-    @pytest.mark.parametrize("n", [1, 2, 1000])
-    @pytest.mark.parametrize("threads", [2, 3])
-    def test_draw_ahead_is_the_serial_draw(self, segments, n, threads, fast_switching):
-        # one helper draws the next segment from the same stream: the same
-        # values, and no draw past the last segment
-        params = ChannelParams(segments=segments)
-        x = 0.03 * np.exp(1j * np.linspace(0.0, 6.0, n))
-        serial, ahead = make_rng(9), make_rng(9)
-        y = propagate(x, params, serial)
-        assert propagate(x, params, ahead, threads=threads).tobytes() == y.tobytes()
-        assert repr(ahead.bit_generator.state) == repr(serial.bit_generator.state)
-
-    def test_draw_ahead_error_reaches_the_caller(self):
-        class FailingRng:
-            draws = 0
-
-            def standard_normal(self, shape):
-                self.draws += 1
-                if self.draws == 3:
-                    raise RuntimeError("draw 3 failed")
-                return np.zeros(shape)
-
-        rng = FailingRng()
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="draw 3 failed"):
-            propagate(np.ones(4, dtype=complex), ChannelParams(segments=5), rng, threads=2)
-        assert rng.draws == 3
-        assert threading.active_count() == before
-
     def test_make_rng_tree(self):
         seq = np.random.SeedSequence
         assert make_rng(5).random() == np.random.Generator(np.random.Philox(5)).random()
@@ -175,20 +132,29 @@ class TestRandomness:
             np.random.Philox(seq((5, 2)))).random()
 
     def test_simulate_is_one_stream_of_propagate(self):
+        # each STREAM-sample slice b of the outputs is propagate of its
+        # points on its own stream (seed, 1, b + 1)
         points = np.array([0.02, 0.03j, -0.01 - 0.02j])
-        params, n, seed = ChannelParams(segments=3), 20_005, 9
-        msgs, y = simulate(points, params, n, seed)
-        assert np.array_equal(msgs, np.arange(n) % 3)
-        assert np.array_equal(y, propagate(points[msgs], params, make_rng((seed, 1))))
+        params, seed = ChannelParams(segments=3), 9
+        for n in (1, 8193, 20_005):
+            msgs, y = simulate(points, params, n, seed)
+            assert np.array_equal(msgs, np.arange(n) % 3)
+            for b, lo in enumerate(range(0, n, STREAM)):
+                part = slice(lo, lo + STREAM)
+                expected = propagate(points[msgs[part]], params, make_rng((seed, 1, b + 1)))
+                assert y[part].tobytes() == expected.tobytes()
 
     def test_simulate_noise_is_not_the_root_stream(self):
         # (seed, 0) would mix to the root stream that training and
-        # build_model read; simulate's tag keeps its noise apart from it
+        # build_model read, and (seed, 1, 0) to (seed, 1); simulate's tags
+        # keep its noise apart from both
         points = np.array([0.02, -0.02])
         params, seed = ChannelParams(segments=3), 9
         msgs, y = simulate(points, params, 64, seed)
         assert make_rng((seed, 0)).random() == make_rng(seed).random()
-        assert not np.allclose(y, propagate(points[msgs], params, make_rng(seed)))
+        assert make_rng((seed, 1, 0)).random() == make_rng((seed, 1)).random()
+        for entropy in (seed, (seed, 1)):
+            assert not np.allclose(y, propagate(points[msgs], params, make_rng(entropy)))
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_simulate_rejects_no_samples(self, n):

@@ -360,11 +360,18 @@ class TestBlocks:
         # 100k outputs at 122 MiB
         assert self.peak_mib(lambda: air(m16[0], 100_000, 5)) <= 16
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_simulate_memory_is_bounded(self, threads):
+        # one noise stream for all 100k outputs peaked at 9.9 (1 thread) and
+        # 11.5 MiB (2 threads)
+        points = qam(16, watts_from_dbm(0.0)).points
+        assert self.peak_mib(lambda: simulate(points, NLPN, 100_000, 5, threads)) <= 6
+
 
 class TestThreads:
-    """`threads` draws the channel outputs ahead and runs blocks and rings on
-    a pool: no value may depend on the thread count, and no thread may
-    outlive the call that started it."""
+    """`threads` runs the channel's noise streams, blocks and rings on a
+    pool: no value may depend on the thread count, and no thread may outlive
+    the call that started it."""
 
     @staticmethod
     def outputs(oracle, n, threads=1):

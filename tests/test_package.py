@@ -94,7 +94,8 @@ def test_one_seeding_scheme():
     # every generator comes from channel.make_rng and every Monte-Carlo
     # message from channel.simulate's arange, so no other code in src seeds
     # a stream or draws integers (docstrings may name them); a stream apart
-    # from a seed's root is a (seed, k) tuple, never arithmetic on the seed,
+    # from a seed's root is a tuple that starts with the seed, such as
+    # simulate's (seed, 1, b + 1) for stream b, never arithmetic on the seed,
     # which would be another seed's root stream
     stray = []
     for path in sorted((ROOT / "src" / "fiberae").glob("*.py")):
