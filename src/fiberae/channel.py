@@ -164,18 +164,15 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
 
 def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
     """y <- y * exp(j*c*|y|^2) + n for each segment's noise n, in order; a tape
-    records segment k's rotation in rotations[k], its output in states[k+1]."""
+    writes segment k's rotation into rotations[k] and its output into
+    states[k+1], and the result is states[K] itself."""
     for k, n in enumerate(noise):
-        rot = np.exp(1j * c * (y.real**2 + y.imag**2))
-        if rotations is not None:
-            rotations[k] = rot
+        rot = np.exp(1j * c * (y.real**2 + y.imag**2), out=None if rotations is None else rotations[k])
         # numpy evaluates y * <temporary> as <temporary> * y for arrays of
         # 256 KiB and more, and a complex product is not bitwise commutative:
         # an explicit operand order keeps a sample's bits whatever the batch
-        y = np.multiply(y, rot, out=rot)
+        y = np.multiply(y, rot, out=rot if states is None else states[k + 1])
         y += n
-        if states is not None:
-            states[k + 1] = y
     return y
 
 
@@ -269,7 +266,8 @@ def propagate_tape(x, noise: np.ndarray, params: ChannelParams):
     """Propagate with caller-supplied noise, recording every state and rotation.
 
     Deterministic given `noise` (shape (K, ...) matching the batch shape
-    of `x`).  Returns (output, PropagationTape).
+    of `x`).  Returns (output, PropagationTape); the output is the tape's
+    last state, tape.states[-1] itself, not a copy.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
     if noise.shape[0] != params.segments:

@@ -110,11 +110,10 @@ def _write_ppm(path: Path, grid, m: int) -> None:
     palette = []
     for i in range(m):
         r, g, b = colorsys.hsv_to_rgb(i / m, 0.65, 0.95)
-        palette.append((int(255 * r), int(255 * g), int(255 * b)))
+        palette.append(f"{int(255 * r)} {int(255 * g)} {int(255 * b)}")
     res = len(grid)
     lines = ["P3", f"{res} {res}", "255"]
-    for row in grid[::-1]:
-        lines.append(" ".join(f"{palette[v][0]} {palette[v][1]} {palette[v][2]}" for v in row))
+    lines += [" ".join(palette[v] for v in row) for row in grid[::-1].tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -296,7 +295,7 @@ def cmd_regions(args) -> int:
         f"# window: center={spec.center.real},{spec.center.imag} "
         f"half_width={spec.half_width} (rows run along ascending imaginary part)",
         str(spec.resolution),
-        *(" ".join(str(int(v)) for v in row) for row in grid),
+        *(" ".join(map(str, row)) for row in grid.tolist()),
     ])
     written = [str(path)]
     if args.ppm:

@@ -123,13 +123,7 @@ class RunConfig:
         return self
 
 
-_BLOCKS = {
-    "channel": ChannelBlock,
-    "model": ModelBlock,
-    "train": TrainBlock,
-    "eval": EvalBlock,
-    "paths": PathsBlock,
-}
+_BLOCKS = {f.name: f.default_factory for f in fields(RunConfig)}
 
 
 def _fits(value, annotation: str) -> bool:

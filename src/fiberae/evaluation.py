@@ -142,6 +142,8 @@ def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
     if kind == "mindist":
         return min_distance_detector(_as_constellation(source))
     if kind == "ae":
+        if not isinstance(source, AutoencoderModel):
+            raise ValueError(f"the ae detector needs a trained model, not a {type(source).__name__}")
         return partial(detect, source)
     if kind == "ml":
         oracle = build_oracle(_as_constellation(source), params, threads)
@@ -206,8 +208,6 @@ def sweep(
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")
-    if metric == "ser" and detector not in ("mindist", "ml", "ae"):
-        raise ValueError(f"unknown detector {detector!r}")
     sources = list(sources)
     other = [p for p, s in sources if isinstance(s, AutoencoderModel) and s.params != params]
     if other:

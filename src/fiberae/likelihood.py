@@ -254,8 +254,7 @@ def _posterior_entropy(oracle: LikelihoodOracle, y) -> np.ndarray:
     return np.log(total) - weighted / total
 
 
-def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int = 0,
-                       threads: int = 1) -> float:
+def mutual_information(oracle: LikelihoodOracle, n_samples: int, seed: int, threads: int = 1) -> float:
     """Monte-Carlo mutual information in bits of the oracle's constellation.
 
     log2 M minus the mean entropy of the exact posterior p(. | y_i) over the

@@ -34,7 +34,6 @@ __all__ = [
     "backward",
     "cross_entropy",
     "forward",
-    "glorot_layer",
     "network",
 ]
 
@@ -117,21 +116,15 @@ class DenseNetwork:
         return out
 
 
-def glorot_layer(n_in: int, n_out: int, activation: str, rng: np.random.Generator) -> DenseLayer:
-    """Uniform Glorot initialization, zero biases."""
-    limit = np.sqrt(6.0 / (n_in + n_out))
-    w = rng.uniform(-limit, limit, size=(n_in, n_out))
-    return DenseLayer(w, np.zeros(n_out), activation)
-
-
 def network(widths: list[int], activations: list[str], rng: np.random.Generator) -> DenseNetwork:
-    """Build a Glorot-initialized stack; widths has one more entry than activations."""
+    """Build a stack with uniform Glorot weights, drawn layer by layer from
+    `rng`, and zero biases; widths has one more entry than activations."""
     if len(widths) != len(activations) + 1:
         raise ValueError("need len(widths) == len(activations) + 1")
-    layers = [
-        glorot_layer(widths[i], widths[i + 1], activations[i], rng)
-        for i in range(len(activations))
-    ]
+    layers = []
+    for n_in, n_out, activation in zip(widths, widths[1:], activations):
+        limit = np.sqrt(6.0 / (n_in + n_out))
+        layers.append(DenseLayer(rng.uniform(-limit, limit, size=(n_in, n_out)), np.zeros(n_out), activation))
     return DenseNetwork(layers)
 
 

@@ -181,6 +181,13 @@ class TestDecisionRegions:
                 RasterSpec(**window)
 
 
+def test_ae_detector_needs_a_trained_model():
+    # a constellation has no decoder: refused when the detector is made,
+    # not with an AttributeError when it is first called
+    with pytest.raises(ValueError, match="trained model"):
+        detector_for("ae", qam(16, 1e-3), NLPN)
+
+
 def qpsk_sources(powers):
     return [(p, qam(4, watts_from_dbm(p))) for p in powers]
 

@@ -181,3 +181,15 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stderr
+
+
+def test_demo_04_reads_the_checkpoint_demo_02_saves(tmp_path):
+    # 02 trains and writes demo_checkpoint.json into its working directory;
+    # 04 run in the same one finds it and reports the decoder's AIR
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for demo in ("02_train_autoencoder.py", "04_information_rates.py"):
+        result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, timeout=600)
+        assert result.returncode == 0, result.stderr
+    assert "decoder AIR" in result.stdout
