@@ -17,14 +17,9 @@ Run:  python3 demos/02_train_autoencoder.py
 
 import numpy as np
 
-from fiberae.autoencoder import (
-    build_model,
-    constellation_points,
-    detect,
-    save_checkpoint,
-    train,
-)
-from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
+from fiberae.autoencoder import build_model, constellation_points, save_checkpoint, train
+from fiberae.channel import ChannelParams, watts_from_dbm
+from fiberae.evaluation import detector_for, ser
 
 POWER_DBM = 2.0
 params = ChannelParams()
@@ -38,12 +33,9 @@ marks = losses[:: settings["batches"] // 10]
 print("loss trace:", " ".join(f"{v:.3f}" for v in marks), f"-> {losses[-1]:.4f}")
 print(f"(the first value sits near ln 16 = {np.log(16):.3f}: the fresh decoder is uniform)")
 
-# measure the symbol error rate of the learned system
-n = 100_000
-msgs = np.arange(n) % 16
-y = propagate(constellation_points(model)[msgs], params, make_rng(7))
-ser = np.mean(detect(model, y) != msgs)
-print(f"\nlearned system SER at {POWER_DBM:+.1f} dBm: {ser:.2e}")
+# measure the symbol error rate of the learned system on 100k samples
+rate = ser(model, detector_for("ae", model, params), params, 100_000, seed=7)
+print(f"\nlearned system SER at {POWER_DBM:+.1f} dBm: {rate:.2e}")
 
 pts = constellation_points(model)
 print(f"constellation mean power: {np.mean(np.abs(pts) ** 2):.6e} W "

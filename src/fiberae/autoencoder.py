@@ -235,14 +235,15 @@ def train(model: AutoencoderModel, batch_size: int, batches: int, learning_rate:
     redrawn every batch from a stream seeded by seed, so identical settings
     reproduce identical traces.  Raises ValueError before the model changes
     unless batch_size is a positive multiple of M, batches >= 1 and
-    learning_rate >= 0, and TrainingDivergedError if the loss stops being finite.
+    learning_rate is finite and >= 0, and TrainingDivergedError if the loss
+    stops being finite.
     """
     if not (batch_size >= 1 and batch_size % model.m == 0):
         raise ValueError(f"batch_size must be a positive multiple of M = {model.m}, not {batch_size}")
     if not batches >= 1:
         raise ValueError(f"batches must be at least 1, not {batches}")
-    if not learning_rate >= 0:
-        raise ValueError(f"learning_rate must be at least 0, not {learning_rate}")
+    if not 0 <= learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be finite and at least 0, not {learning_rate}")
     messages = np.arange(batch_size) % model.m
     rng = make_rng(seed)
     params = model_parameters(model)

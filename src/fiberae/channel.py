@@ -205,44 +205,43 @@ def simulate(points, params: ChannelParams, n_samples: int, seed: int, threads: 
 
     Samples [STREAM*b, STREAM*(b+1)) take their noise from the stream
     make_rng((seed, 1, b + 1)).  The streams run on `pool_map` with
-    `threads`, each writing its own slice, so no value depends on `threads`.
+    `threads`, each returning its slice of y, and the slices are joined in
+    order, so no value depends on `threads`.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     msgs = np.arange(n_samples) % points.size
-    y = np.empty(n_samples, dtype=complex)
 
     def stream(lo):
-        part = slice(lo, lo + STREAM)
-        y[part] = propagate(points[msgs[part]], params, make_rng((seed, 1, lo // STREAM + 1)))
+        return propagate(points[msgs[lo:lo + STREAM]], params, make_rng((seed, 1, lo // STREAM + 1)))
 
-    list(pool_map(stream, range(0, n_samples, STREAM), threads))
-    return msgs, y
+    return msgs, np.concatenate(pool_map(stream, range(0, n_samples, STREAM), threads))
 
 
 # samples per block of every n-sized evaluation, which bounds its working memory
 BLOCK = 8192
 
 
-def pool_map(fn, items, threads: int):
-    """fn(item) for each item, results in item order.
+def pool_map(fn, items, threads: int) -> list:
+    """The list of fn(item) for each item, in item order; every call has run
+    when this returns.
 
     With threads >= 2 and more than one item, the calls run on a pool of up
     to `threads` threads that is shut down before this returns, also when a
     call raises (the first error in item order is raised); otherwise they
-    run lazily on the calling thread.
+    run one after another on the calling thread.
     """
     items = list(items)
     if threads < 2 or len(items) < 2:
-        return map(fn, items)
+        return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=min(threads, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
 def in_blocks(fn, *arrays, threads: int = 1) -> np.ndarray:
     """fn applied to consecutive BLOCK-sample slices of the arrays, all cut
-    at the same edges, its results joined along the first (sample) axis into
-    one preallocated array.  The slices run on `pool_map` with `threads`.
+    at the same edges, its results joined in order along the first (sample)
+    axis by np.concatenate.  The slices run on `pool_map` with `threads`.
 
     fn must treat each sample on its own.  A one-sample tail joins the block
     before it: numpy multiplies a one-row matrix through BLAS gemv, which
@@ -252,14 +251,8 @@ def in_blocks(fn, *arrays, threads: int = 1) -> np.ndarray:
     """
     n = len(arrays[0])
     edges = [0, *range(BLOCK, n - 1, BLOCK), n]
-    cuts = list(zip(edges, edges[1:]))
-    parts = pool_map(lambda cut: fn(*(a[slice(*cut)] for a in arrays)), cuts, threads)
-    out = None
-    for (lo, hi), part in zip(cuts, parts):
-        if out is None:
-            out = np.empty((n,) + part.shape[1:], part.dtype)
-        out[lo:hi] = part
-    return out
+    cuts = zip(edges, edges[1:])
+    return np.concatenate(pool_map(lambda cut: fn(*(a[slice(*cut)] for a in arrays)), cuts, threads))
 
 
 def propagate_tape(x, noise: np.ndarray, params: ChannelParams):

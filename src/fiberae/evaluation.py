@@ -155,10 +155,13 @@ def ser(source, detector, params: ChannelParams, n_samples: int, seed: int, thre
     """Monte-Carlo symbol error rate on `simulate`'s balanced messages, drawn
     on `threads`.
 
-    The detector gets all n outputs at once; to bound its working memory it
-    must cut them into `in_blocks` slices itself, as the detectors of
-    `detector_for` do.
+    A trained model must have been trained on `params`; ValueError otherwise,
+    before any draw.  The detector gets all n outputs at once; to bound its
+    working memory it must cut them into `in_blocks` slices itself, as the
+    detectors of `detector_for` do.
     """
+    if isinstance(source, AutoencoderModel) and source.params != params:
+        raise ValueError(f"the model was trained on {source.params}, not on {params}")
     msgs, y = simulate(_as_constellation(source).points, params, n_samples, seed, threads=threads)
     return float(np.mean(detector(y) != msgs))
 
@@ -228,4 +231,4 @@ def sweep(
         oracle = build_oracle(_as_constellation(source), params, inner)
         return mutual_information(oracle, n_samples, seed, inner)
 
-    return list(pool_map(one_power, [s for _, s in sources], threads))
+    return pool_map(one_power, [s for _, s in sources], threads)

@@ -212,7 +212,7 @@ def build_oracle(constellation: Constellation, params: ChannelParams,
     if params.noise_power_w == 0:
         raise ValueError("a noiseless channel has no output density")
     amplitudes, ring_of = np.unique(np.abs(constellation.points), return_inverse=True)
-    densities = list(pool_map(partial(_ring_density, params=params), map(float, amplitudes), threads))
+    densities = pool_map(partial(_ring_density, params=params), map(float, amplitudes), threads)
     return LikelihoodOracle(constellation, params, densities, ring_of)
 
 

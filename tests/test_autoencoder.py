@@ -185,8 +185,9 @@ class TestTrain:
     @pytest.mark.parametrize(
         "bad",
         [{"batch_size": 0}, {"batch_size": 6}, {"batches": 0},
-         {"learning_rate": -1.0}, {"learning_rate": math.nan}],
-        ids=["batch_size-0", "batch_size-6", "batches-0", "learning_rate--1", "learning_rate-nan"],
+         {"learning_rate": -1.0}, {"learning_rate": math.nan}, {"learning_rate": math.inf}],
+        ids=["batch_size-0", "batch_size-6", "batches-0", "learning_rate--1", "learning_rate-nan",
+             "learning_rate-inf"],
     )
     def test_bad_settings_rejected_before_training(self, bad):
         # M = 4: a batch of 0 or 6 is no positive multiple of M

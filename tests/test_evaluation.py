@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from awgn_reference import awgn_qam_ser
 import fiberae.channel
 from fiberae.autoencoder import build_model, constellation_points, decode, detect
-from fiberae.channel import BLOCK, ChannelParams, in_blocks, simulate, watts_from_dbm
+from fiberae.channel import BLOCK, ChannelParams, in_blocks, pool_map, simulate, watts_from_dbm
 from fiberae.evaluation import (
     RasterSpec,
     air,
@@ -116,6 +116,17 @@ class TestSer:
         b = ser(const, min_distance_detector(const), AWGN, n, seed=4)
         se = math.sqrt(a * (1 - a) / n + b * (1 - b) / n)
         assert abs(a - b) <= 4 * se
+
+    def test_model_on_other_channel_rejected(self, monkeypatch):
+        # a model trained on NLPN must not be scored on AWGN, as in sweep
+        def no_propagate(*args, **kwargs):
+            pytest.fail("propagate ran on a conflicting source")
+
+        monkeypatch.setattr("fiberae.channel.propagate", no_propagate)
+        model = build_model(4, NLPN, 1e-3, seed=0)
+        with pytest.raises(ValueError, match="trained on") as err:
+            ser(model, detector_for("ae", model, AWGN), AWGN, 100, seed=0)
+        assert str(NLPN) in str(err.value) and str(AWGN) in str(err.value)
 
 
 class TestAir:
@@ -427,6 +438,18 @@ class TestThreads:
                   for o in oracles]
         assert fields == [fields[0]] * 3
         assert all(np.array_equal(o.ring_of, oracles[0].ring_of) for o in oracles)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_pool_map_has_run_every_call_when_it_returns(self, threads):
+        calls = []
+
+        def record(i):
+            calls.append(i)
+            return -i
+
+        result = pool_map(record, range(5), threads)
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+        assert result == [0, -1, -2, -3, -4]
 
     def test_no_thread_outlives_an_evaluation(self, m16):
         model, oracle = m16
