@@ -21,13 +21,15 @@ normalization scale, and the transmitter in one exact reverse pass.  The
 normalization scale is treated as a differentiable function of the current
 batch's M symbol powers, so the power constraint stays exact throughout
 optimization.  Channel noise is sampled outside the differentiated path
-and held fixed per backward pass.
+and held fixed per backward pass; with threads >= 2, one worker thread draws
+the next batch's noise while the current batch's step runs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -228,15 +230,20 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     return loss, tx_grads + rx_grads
 
 
-def train(model: AutoencoderModel, batch_size: int, batches: int, learning_rate: float, seed: int) -> np.ndarray:
+def train(
+    model: AutoencoderModel, batch_size: int, batches: int, learning_rate: float, seed: int, threads: int = 1
+) -> np.ndarray:
     """Adam-train the model in place at its own power; returns the per-batch mean loss trace.
 
     Batches are balanced: each message appears batch_size/M times.  Noise is
     redrawn every batch from a stream seeded by seed, so identical settings
-    reproduce identical traces.  Raises ValueError before the model changes
-    unless batch_size is a positive multiple of M, batches >= 1 and
-    learning_rate is finite and >= 0, and TrainingDivergedError if the loss
-    stops being finite.
+    reproduce identical traces.  With threads >= 2, one worker thread draws
+    batch b+1's noise while batch b's step runs; it alone uses the stream,
+    in batch order, so the trace and the weights do not depend on threads.
+    The worker is joined before this returns or raises.  Raises ValueError
+    before the model changes unless batch_size is a positive multiple of M,
+    batches >= 1 and learning_rate is finite and >= 0, and
+    TrainingDivergedError if the loss stops being finite.
     """
     if not (batch_size >= 1 and batch_size % model.m == 0):
         raise ValueError(f"batch_size must be a positive multiple of M = {model.m}, not {batch_size}")
@@ -249,13 +256,21 @@ def train(model: AutoencoderModel, batch_size: int, batches: int, learning_rate:
     params = model_parameters(model)
     state = adam_init(params, learning_rate=learning_rate)
     losses = np.empty(batches)
-    for b in range(batches):
-        noise = draw_noise(model.params, messages.shape, rng)
-        loss, grads = batch_loss_and_grads(model, messages, noise)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss {loss} at batch {b}")
-        losses[b] = loss
-        adam_step(state, params, grads)
+
+    def draw():
+        return draw_noise(model.params, messages.shape, rng)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw) if threads >= 2 else None
+        for b in range(batches):
+            noise = draw() if ahead is None else ahead.result()
+            if ahead is not None and b + 1 < batches:
+                ahead = pool.submit(draw)
+            loss, grads = batch_loss_and_grads(model, messages, noise)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss {loss} at batch {b}")
+            losses[b] = loss
+            adam_step(state, params, grads)
     return losses
 
 

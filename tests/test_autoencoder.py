@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,74 @@ class TestTrain:
         model.rx.layers[-1].biases[0] = -1000.0
         with pytest.raises(TrainingDivergedError, match="at batch 0"):
             train(model, batch_size=8, batches=2, learning_rate=1e-3, seed=13)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_threads_give_bitwise_equal_training(self, monkeypatch, threads):
+        # the draw-ahead worker takes the same draws in the same order: equal
+        # trace, equal weights, and the generator left where one thread leaves
+        # it (no draw for a batch past the last)
+        ref, model = build_model(4, NLPN, 1e-3, seed=21), build_model(4, NLPN, 1e-3, seed=21)
+        rngs = []
+
+        def recording_rng(seed):
+            rngs.append(make_rng(seed))
+            return rngs[-1]
+
+        monkeypatch.setattr("fiberae.autoencoder.make_rng", recording_rng)
+        settings = {"batch_size": 16, "batches": 12, "learning_rate": 1e-2, "seed": 20}
+        ref_losses = train(ref, **settings, threads=1)
+        before = set(threading.enumerate())
+        losses = train(model, **settings, threads=threads)
+        assert set(threading.enumerate()) == before
+        assert losses.tobytes() == ref_losses.tobytes()
+        for a, b in zip(model_parameters(ref), model_parameters(model)):
+            assert a.tobytes() == b.tobytes()
+        assert rngs[0].standard_normal(8).tobytes() == rngs[1].standard_normal(8).tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_at_batch_0_leaves_no_thread(self):
+        model = build_model(4, AWGN, 1e-3, seed=12)
+        model.rx.layers[-1].biases[0] = -1000.0
+        before = set(threading.enumerate())
+        with pytest.raises(TrainingDivergedError, match="at batch 0"):
+            train(model, batch_size=8, batches=5, learning_rate=1e-3, seed=13, threads=2)
+        assert set(threading.enumerate()) == before
+
+    def test_divergence_at_later_batch_leaves_no_thread(self, monkeypatch):
+        real = batch_loss_and_grads
+        calls = []
+
+        def nan_at_third(model, messages, noise):
+            calls.append(1)
+            loss, grads = real(model, messages, noise)
+            return (math.nan if len(calls) == 3 else loss), grads
+
+        monkeypatch.setattr("fiberae.autoencoder.batch_loss_and_grads", nan_at_third)
+        model = build_model(4, AWGN, 1e-3, seed=12)
+        before = set(threading.enumerate())
+        with pytest.raises(TrainingDivergedError, match="non-finite loss nan at batch 2$"):
+            train(model, batch_size=8, batches=6, learning_rate=1e-3, seed=13, threads=2)
+        assert set(threading.enumerate()) == before
+
+    def test_failing_draw_reaches_caller_and_leaves_no_thread(self, monkeypatch):
+        error = OSError("draw failed")
+        caller, calls = threading.current_thread(), []
+
+        def fail_third(params, shape, rng):
+            calls.append(threading.current_thread())
+            if len(calls) == 3:
+                raise error
+            return draw_noise(params, shape, rng)
+
+        monkeypatch.setattr("fiberae.autoencoder.draw_noise", fail_third)
+        model = build_model(4, AWGN, 1e-3, seed=12)
+        before = set(threading.enumerate())
+        with pytest.raises(OSError) as info:
+            train(model, batch_size=8, batches=6, learning_rate=1e-3, seed=13, threads=2)
+        assert info.value is error
+        assert set(threading.enumerate()) == before
+        # every draw ran on the worker, none on the calling thread
+        assert len(calls) == 3 and caller not in calls
 
     def test_awgn_high_snr_learns_clean_constellation(self):
         # M=4 at 40 dB SNR: after training, the measured SER must be < 1e-3
