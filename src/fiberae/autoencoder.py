@@ -21,8 +21,8 @@ normalization scale, and the transmitter in one exact reverse pass.  The
 normalization scale is treated as a differentiable function of the current
 batch's M symbol powers, so the power constraint stays exact throughout
 optimization.  Channel noise is sampled outside the differentiated path
-and held fixed per backward pass; with threads >= 2, one worker thread draws
-the next batch's noise while the current batch's step runs.
+and held fixed per backward pass; one worker thread draws the next batch's
+noise while the current batch's step runs.
 """
 
 from __future__ import annotations
@@ -230,19 +230,17 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     return loss, tx_grads + rx_grads
 
 
-def train(
-    model: AutoencoderModel, batch_size: int, batches: int, learning_rate: float, seed: int, threads: int = 1
-) -> np.ndarray:
+def train(model: AutoencoderModel, batch_size: int, batches: int, learning_rate: float, seed: int) -> np.ndarray:
     """Adam-train the model in place at its own power; returns the per-batch mean loss trace.
 
     Batches are balanced: each message appears batch_size/M times.  Noise is
     redrawn every batch from a stream seeded by seed, so identical settings
-    reproduce identical traces.  With threads >= 2, one worker thread draws
-    batch b+1's noise while batch b's step runs; it alone uses the stream,
-    in batch order, so the trace and the weights do not depend on threads.
-    The worker is joined before this returns or raises.  Raises ValueError
-    before the model changes unless batch_size is a positive multiple of M,
-    batches >= 1 and learning_rate is finite and >= 0, and
+    reproduce identical traces.  One worker thread draws batch b+1's noise
+    while batch b's step runs; it alone uses the stream, in batch order, so
+    the trace and the weights are those of drawing each batch just before
+    its step.  The worker is joined before this returns or raises.  Raises
+    ValueError before the model changes unless batch_size is a positive
+    multiple of M, batches >= 1 and learning_rate is finite and >= 0, and
     TrainingDivergedError if the loss stops being finite.
     """
     if not (batch_size >= 1 and batch_size % model.m == 0):
@@ -261,10 +259,10 @@ def train(
         return draw_noise(model.params, messages.shape, rng)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw) if threads >= 2 else None
+        ahead = pool.submit(draw)
         for b in range(batches):
-            noise = draw() if ahead is None else ahead.result()
-            if ahead is not None and b + 1 < batches:
+            noise = ahead.result()
+            if b + 1 < batches:
                 ahead = pool.submit(draw)
             loss, grads = batch_loss_and_grads(model, messages, noise)
             if not np.isfinite(loss):

@@ -210,8 +210,7 @@ def cmd_train(args) -> int:
         "learning_rate": config.train.learning_rate,
         "seed": config.train.seed,
     }
-    # threads stays out of settings: it does not change the result the checkpoint records
-    losses = train(model, **settings, threads=args.threads)
+    losses = train(model, **settings)
     trace_path = out_dir / f"train_loss_m{config.model.m}_p{power:+.2f}dbm.csv"
     rows = [f"{i},{v}" for i, v in enumerate(losses)]
     _write_text(trace_path, config, config.train.seed, ["batch,loss", *rows])
@@ -354,8 +353,7 @@ def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
                    help="worker threads, by default the CPUs this process may use; several "
                         "powers share them one each, and one power or raster uses them all to "
                         "pool its channel noise streams and its exact-law oracle's rings and "
-                        "blocks; train at 2 or more draws the next batch's noise on one of them "
-                        "while the current batch's step runs (results do not depend on this)")
+                        "blocks (results do not depend on this)")
     p.add_argument("--out", help="output directory (overrides config paths)")
 
 

@@ -27,7 +27,7 @@ from fiberae.autoencoder import (
 )
 from fiberae.channel import ChannelParams, draw_noise, make_rng, propagate, watts_from_dbm
 from fiberae.gradcheck import end_to_end_error
-from fiberae.nets import DenseLayer, DenseNetwork
+from fiberae.nets import DenseLayer, DenseNetwork, adam_init, adam_step
 
 AWGN = ChannelParams(gamma=0.0)
 NLPN = ChannelParams()
@@ -213,12 +213,22 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="at batch 0"):
             train(model, batch_size=8, batches=2, learning_rate=1e-3, seed=13)
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_threads_give_bitwise_equal_training(self, monkeypatch, threads):
-        # the draw-ahead worker takes the same draws in the same order: equal
-        # trace, equal weights, and the generator left where one thread leaves
-        # it (no draw for a batch past the last)
+    def test_worker_draws_match_a_serial_loop(self, monkeypatch):
+        # the draw-ahead worker takes the same draws in the same order as a
+        # plain loop that draws each batch's noise just before its step: equal
+        # trace, equal weights, and the generator left at the same position
+        # (no draw for a batch past the last)
         ref, model = build_model(4, NLPN, 1e-3, seed=21), build_model(4, NLPN, 1e-3, seed=21)
+        messages = np.arange(16) % 4
+        ref_rng = make_rng(20)
+        params = model_parameters(ref)
+        state = adam_init(params, learning_rate=1e-2)
+        ref_losses = []
+        for _ in range(12):
+            loss, grads = batch_loss_and_grads(ref, messages, draw_noise(NLPN, messages.shape, ref_rng))
+            ref_losses.append(loss)
+            adam_step(state, params, grads)
+
         rngs = []
 
         def recording_rng(seed):
@@ -226,15 +236,13 @@ class TestTrain:
             return rngs[-1]
 
         monkeypatch.setattr("fiberae.autoencoder.make_rng", recording_rng)
-        settings = {"batch_size": 16, "batches": 12, "learning_rate": 1e-2, "seed": 20}
-        ref_losses = train(ref, **settings, threads=1)
         before = set(threading.enumerate())
-        losses = train(model, **settings, threads=threads)
+        losses = train(model, batch_size=16, batches=12, learning_rate=1e-2, seed=20)
         assert set(threading.enumerate()) == before
-        assert losses.tobytes() == ref_losses.tobytes()
+        assert losses.tobytes() == np.array(ref_losses).tobytes()
         for a, b in zip(model_parameters(ref), model_parameters(model)):
             assert a.tobytes() == b.tobytes()
-        assert rngs[0].standard_normal(8).tobytes() == rngs[1].standard_normal(8).tobytes()
+        assert rngs[0].standard_normal(8).tobytes() == ref_rng.standard_normal(8).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_divergence_at_batch_0_leaves_no_thread(self):
@@ -242,7 +250,7 @@ class TestTrain:
         model.rx.layers[-1].biases[0] = -1000.0
         before = set(threading.enumerate())
         with pytest.raises(TrainingDivergedError, match="at batch 0"):
-            train(model, batch_size=8, batches=5, learning_rate=1e-3, seed=13, threads=2)
+            train(model, batch_size=8, batches=5, learning_rate=1e-3, seed=13)
         assert set(threading.enumerate()) == before
 
     def test_divergence_at_later_batch_leaves_no_thread(self, monkeypatch):
@@ -258,7 +266,7 @@ class TestTrain:
         model = build_model(4, AWGN, 1e-3, seed=12)
         before = set(threading.enumerate())
         with pytest.raises(TrainingDivergedError, match="non-finite loss nan at batch 2$"):
-            train(model, batch_size=8, batches=6, learning_rate=1e-3, seed=13, threads=2)
+            train(model, batch_size=8, batches=6, learning_rate=1e-3, seed=13)
         assert set(threading.enumerate()) == before
 
     def test_failing_draw_reaches_caller_and_leaves_no_thread(self, monkeypatch):
@@ -275,7 +283,7 @@ class TestTrain:
         model = build_model(4, AWGN, 1e-3, seed=12)
         before = set(threading.enumerate())
         with pytest.raises(OSError) as info:
-            train(model, batch_size=8, batches=6, learning_rate=1e-3, seed=13, threads=2)
+            train(model, batch_size=8, batches=6, learning_rate=1e-3, seed=13)
         assert info.value is error
         assert set(threading.enumerate()) == before
         # every draw ran on the worker, none on the calling thread

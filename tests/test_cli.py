@@ -382,19 +382,6 @@ class TestSer:
             contents.append((out / "ser_qam_mindist.csv").read_bytes())
         assert contents[0] == contents[1]
 
-    def test_train_threads_do_not_change_output(self, tmp_path, awgn_config):
-        # at 2 threads a worker draws each next batch's noise during the step
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out, threads in zip(outs, (1, 2)):
-            assert run_cli("train", "--config", awgn_config, "--power", "-3",
-                           "--threads", threads, "--out", out, "--seed", "3") == 0
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
-        assert "ae_m4_p-3.00dbm.json" in names and "train_loss_m4_p-3.00dbm.csv" in names
-        assert any(n.startswith("config-") for n in names)
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
-
     def test_sweep_row_is_the_one_point_run(self, tmp_path):
         # a row depends on its power and the seed, not on its place in the
         # sweep; 16-QAM on the default channel errs at 5 dBm, so the row
