@@ -34,6 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from fiberae import channel
 from fiberae.channel import (
     ChannelParams,
     backprop_channel,
@@ -171,18 +172,20 @@ def decode(model: AutoencoderModel, y) -> np.ndarray:
 
     Components are nonnegative and each row sums to 1 by construction;
     raises ValueError if every sigmoid output of a row underflows to 0,
-    counting the rows of this call (evaluations decode BLOCK rows per call).
+    counting the rows of this call (evaluations decode channel.NET_BLOCK
+    rows per call).
     """
     return _posteriors(model, np.atleast_1d(np.asarray(y, dtype=complex)))[0]
 
 
-def detect(model: AutoencoderModel, y) -> np.ndarray:
+def detect(model: AutoencoderModel, y, threads: int = 1) -> np.ndarray:
     """argmax of each posterior row; ties break to the lowest message index.
 
-    Decodes in `in_blocks` slices, all on the calling thread.
+    Decodes in `in_blocks` slices of channel.NET_BLOCK samples on `threads`.
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    return in_blocks(lambda yb: np.argmax(decode(model, yb), axis=1), y)
+    return in_blocks(lambda yb: np.argmax(decode(model, yb), axis=1), y,
+                     block=channel.NET_BLOCK, threads=threads)
 
 
 def model_parameters(model: AutoencoderModel) -> list[np.ndarray]:

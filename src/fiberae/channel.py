@@ -27,9 +27,10 @@ message i is i mod M, and the noise of samples [STREAM*b, STREAM*(b+1))
 comes from the stream make_rng((seed, 1, b + 1)), so its outputs depend on
 nothing but the points, the channel, the sample count and the seed.
 Evaluations run their per-sample work over those outputs in `in_blocks`
-slices of BLOCK samples, so their working memory does not grow with the
-sample count.  `pool_map` runs the streams, the slices, or any other
-independent tasks on a thread pool without changing a result.
+slices, of BLOCK samples or, for the receiver net, NET_BLOCK samples, so
+their working memory does not grow with the sample count.  `pool_map` runs
+the streams, the slices, or any other independent tasks on a thread pool
+without changing a result.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ __all__ = [
     "simulate",
     "STREAM",
     "BLOCK",
+    "NET_BLOCK",
     "pool_map",
     "in_blocks",
     "propagate_tape",
@@ -195,7 +197,8 @@ def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
 
 
 # samples per noise stream of `simulate`.  The streams define the outputs,
-# so this stays apart from BLOCK, which may change without moving a value.
+# so this stays apart from BLOCK and NET_BLOCK, which may change without
+# moving a value.
 STREAM = 8192
 
 
@@ -218,8 +221,13 @@ def simulate(points, params: ChannelParams, n_samples: int, seed: int, threads: 
     return msgs, np.concatenate(pool_map(stream, range(0, n_samples, STREAM), threads))
 
 
-# samples per block of every n-sized evaluation, which bounds its working memory
+# samples per block of every n-sized evaluation, which bounds its working
+# memory.  The exact-law detector loops over rings in Python per block, so it
+# wants large blocks.  At NET_BLOCK rows an M = 16 receiver net's layer
+# outputs stay in cache and its gemms below OpenBLAS's own threading, so its
+# blocks can be pooled.
 BLOCK = 8192
+NET_BLOCK = 1024
 
 
 def pool_map(fn, items, threads: int) -> list:
@@ -238,10 +246,11 @@ def pool_map(fn, items, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-def in_blocks(fn, *arrays, threads: int = 1) -> np.ndarray:
-    """fn applied to consecutive BLOCK-sample slices of the arrays, all cut
-    at the same edges, its results joined in order along the first (sample)
-    axis by np.concatenate.  The slices run on `pool_map` with `threads`.
+def in_blocks(fn, *arrays, block: int | None = None, threads: int = 1) -> np.ndarray:
+    """fn applied to consecutive slices of `block` samples (BLOCK when None,
+    read at call time) of the arrays, all cut at the same edges, its results
+    joined in order along the first (sample) axis by np.concatenate.  The
+    slices run on `pool_map` with `threads`.
 
     fn must treat each sample on its own.  A one-sample tail joins the block
     before it: numpy multiplies a one-row matrix through BLAS gemv, which
@@ -250,7 +259,8 @@ def in_blocks(fn, *arrays, threads: int = 1) -> np.ndarray:
     The edges do not depend on `threads`, so neither does any value.
     """
     n = len(arrays[0])
-    edges = [0, *range(BLOCK, n - 1, BLOCK), n]
+    block = BLOCK if block is None else block
+    edges = [0, *range(block, n - 1, block), n]
     cuts = zip(edges, edges[1:])
     return np.concatenate(pool_map(lambda cut: fn(*(a[slice(*cut)] for a in arrays)), cuts, threads))
 

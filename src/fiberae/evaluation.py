@@ -13,15 +13,16 @@ one constellation scores the same outputs.  Each detector, and `air`'s
 decoder, runs its per-sample work on `channel.in_blocks` slices of those
 outputs or of a raster's pixels, so its working memory is bounded by the
 block size; only the n-sized results (indices, or AIR's per-sample losses)
-grow with n.
+grow with n.  The receiver net (the "ae" detector and `air`'s decoder) is
+cut into `channel.NET_BLOCK` slices, the other detectors into
+`channel.BLOCK` slices.
 
 Threads.  `threads` never changes a value.  With threads >= 2 an estimate
 propagates the noise streams of its channel outputs on a pool, and the
-exact-law detector runs its slices on one.  The dense-net and
-minimum-distance detectors and `air`'s decoder keep their slices on the
-calling thread, as `detector_for` sets out.  A sweep of several points runs
-them on a pool with one thread each; a sweep of one point gives it every
-thread.
+dense-net and exact-law detectors and `air`'s decoder run their slices on
+one.  The minimum-distance detector keeps its slices on the calling thread,
+as `detector_for` sets out.  A sweep of several points runs them on a pool
+with one thread each; a sweep of one point gives it every thread.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from functools import partial
 
 import numpy as np
 
+from fiberae import channel
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
 from fiberae.channel import ChannelParams, in_blocks, pool_map, simulate
 from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
@@ -133,18 +135,19 @@ def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
     """Detector of the given kind ("mindist", "ml" or "ae") for a source.
 
     "ml" decides on the channel's exact law, built and evaluated on
-    `threads`.  "ae" needs a trained model as the source; it and "mindist"
-    run on the calling thread whatever `threads` is.  Pooled dense-net
-    blocks contend with OpenBLAS's own threads for the CPUs and ran slower
-    than serial ones, and a nearest-point block is too cheap for pooling to
-    save more than the calls' spread.
+    `threads`.  "ae" needs a trained model as the source and decodes its
+    `channel.NET_BLOCK` slices on `threads`; at M = 16 blocks that small
+    stay in cache and below OpenBLAS's own gemm threading, so the pool does
+    not contend with it.  "mindist" runs on the calling thread whatever `threads` is: a
+    nearest-point block is too cheap for pooling to save more than the
+    calls' spread.
     """
     if kind == "mindist":
         return min_distance_detector(_as_constellation(source))
     if kind == "ae":
         if not isinstance(source, AutoencoderModel):
             raise ValueError(f"the ae detector needs a trained model, not a {type(source).__name__}")
-        return partial(detect, source)
+        return partial(detect, source, threads=threads)
     if kind == "ml":
         oracle = build_oracle(_as_constellation(source), params, threads)
         return partial(ml_detect, oracle, threads=threads)
@@ -169,13 +172,15 @@ def ser(source, detector, params: ChannelParams, n_samples: int, seed: int, thre
 def air(model: AutoencoderModel, n_samples: int, seed: int, threads: int = 1) -> float:
     """Achievable information rate of the model's own decoder, in bits.
 
-    Scores the decoder's posteriors at `simulate`'s outputs (drawn on
-    `threads`) with its training loss: log2 M minus the mean per-sample
-    cross-entropy in bits.  This auxiliary-channel rate lower-bounds the
-    mutual information of the learned constellation.
+    Scores the decoder's posteriors at `simulate`'s outputs with its
+    training loss: log2 M minus the mean per-sample cross-entropy in bits.
+    The outputs are drawn, and decoded in `channel.NET_BLOCK` slices, on
+    `threads`.  This auxiliary-channel rate lower-bounds the mutual
+    information of the learned constellation.
     """
     msgs, y = simulate(constellation_points(model), model.params, n_samples, seed, threads=threads)
-    losses = in_blocks(lambda yb, mb: cross_entropy(decode(model, yb), mb), y, msgs)
+    losses = in_blocks(lambda yb, mb: cross_entropy(decode(model, yb), mb), y, msgs,
+                       block=channel.NET_BLOCK, threads=threads)
     return math.log2(model.m) - float(np.mean(losses)) / math.log(2.0)
 
 

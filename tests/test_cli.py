@@ -732,12 +732,12 @@ class TestUnderflowedReceiver:
         assert "576 of 576 receiver output rows in one decoded batch" in capsys.readouterr().err
 
     def test_regions_underflow_counts_one_block(self, tmp_path, awgn_config, ckpt, capsys):
-        # 200 x 200 = 40 000 pixels, decoded channel.BLOCK = 8192 at a time:
-        # the count is of the first decoded block, and the message says so
+        # 200 x 200 = 40 000 pixels, decoded channel.NET_BLOCK = 1024 at a
+        # time: the count is of the first decoded block, and the message says so
         dead = self.underflow(ckpt, range(4))
         assert run_cli("regions", "--config", awgn_config, "--source", dead, "--detector", "ae",
                        "--resolution", "200", "--out", tmp_path / "out") == 1
-        assert "8192 of 8192 receiver output rows in one decoded batch" in capsys.readouterr().err
+        assert "1024 of 1024 receiver output rows in one decoded batch" in capsys.readouterr().err
 
 
 class TestEntryPoint:

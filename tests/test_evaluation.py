@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from awgn_reference import awgn_qam_ser
 import fiberae.channel
 from fiberae.autoencoder import build_model, constellation_points, decode, detect
-from fiberae.channel import BLOCK, ChannelParams, in_blocks, pool_map, simulate, watts_from_dbm
+from fiberae.channel import (BLOCK, NET_BLOCK, ChannelParams, in_blocks, pool_map, simulate,
+                             watts_from_dbm)
 from fiberae.evaluation import (
     RasterSpec,
     air,
@@ -316,7 +317,8 @@ class TestBlocks:
         # change their last bits (numpy's one-row matmul is BLAS gemv),
         # though not air's value
         "decode": lambda model, oracle, n: in_blocks(
-            partial(decode, model), simulate(constellation_points(model), NLPN, n, 5)[1]),
+            partial(decode, model), simulate(constellation_points(model), NLPN, n, 5)[1],
+            block=fiberae.channel.NET_BLOCK),
         "ser_ae": lambda model, oracle, n: ser(model, partial(detect, model), NLPN, n, 5),
         "ser_ml": lambda model, oracle, n: ser(oracle.constellation, partial(ml_detect, oracle),
                                                NLPN, n, 5),
@@ -338,6 +340,7 @@ class TestBlocks:
         values = []
         for block in (7, 1000, n):
             monkeypatch.setattr(fiberae.channel, "BLOCK", block)
+            monkeypatch.setattr(fiberae.channel, "NET_BLOCK", block)
             values.append(self.ESTIMATES[name](*m16, n))
         bits = [np.asarray(v).tobytes() for v in values]
         assert bits == [bits[-1]] * 3
@@ -348,6 +351,7 @@ class TestBlocks:
         rasters = []
         for block in (7, 1000, spec.resolution**2):
             monkeypatch.setattr(fiberae.channel, "BLOCK", block)
+            monkeypatch.setattr(fiberae.channel, "NET_BLOCK", block)
             rasters.append(decision_regions(self.DETECTORS[kind](*m16), spec))
         assert all(np.array_equal(r, rasters[-1]) for r in rasters)
 
@@ -415,7 +419,9 @@ class TestThreads:
         "mutual_information": lambda model, oracle, n, t: mutual_information(oracle, n, 5, t),
     }
 
-    @pytest.mark.parametrize("n", [1, 2, 8193, 3 * BLOCK + 1])
+    # k * block + 1 samples end in a one-row tail, which BLAS would evaluate
+    # as gemv, not gemm, if it were a block of its own
+    @pytest.mark.parametrize("n", [1, 2, NET_BLOCK + 1, 3 * NET_BLOCK + 1, BLOCK + 1, 3 * BLOCK + 1])
     @pytest.mark.parametrize("name", ESTIMATES)
     def test_threads_leave_every_value_unchanged(self, name, n, m16):
         bits = [np.asarray(self.ESTIMATES[name](*m16, n, t)).tobytes() for t in (1, 2, 3)]
@@ -423,7 +429,7 @@ class TestThreads:
 
     @pytest.mark.parametrize("kind", ["ae", "ml", "mindist"])
     def test_raster_does_not_depend_on_threads(self, kind, m16):
-        # 130^2 = 16 900 pixels: three blocks
+        # 130^2 = 16 900 pixels: three BLOCK and seventeen NET_BLOCK slices
         model, oracle = m16
         source = model if kind == "ae" else oracle.constellation
         rasters = [decision_regions(detector_for(kind, source, NLPN, t), raster_spec(130))
@@ -471,12 +477,12 @@ class TestThreads:
         assert threading.active_count() == before
 
     def test_underflow_error_keeps_its_message(self):
-        # every sigmoid output underflows: the first block's count is
-        # reported, whatever the thread count
+        # every sigmoid output underflows: the first dense-net block's count
+        # is reported, whatever the thread count
         model = build_model(4, AWGN, 1e-3, seed=2)
         model.rx.layers[-1].biases[:] = -1000.0
         before = threading.active_count()
-        with pytest.raises(ValueError, match=f"^{BLOCK} of {BLOCK} receiver output rows in one "
+        with pytest.raises(ValueError, match=f"^{NET_BLOCK} of {NET_BLOCK} receiver output rows in one "
                                              "decoded batch underflow to 0$"):
             sweep([(0.0, model)], "ser", AWGN, 3 * BLOCK + 1, seed=0, detector="ae", threads=3)
         assert threading.active_count() == before

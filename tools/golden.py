@@ -71,9 +71,11 @@ def commands(inputs: Path) -> list[tuple[str, list]]:
         ("fixture/air", ["air", *perf, "--checkpoint", FIXTURE]),
         ("fixture/ser_ae", ["ser", *perf, "--source", FIXTURE, "--detector", "ae"]),
         ("fixture/ser_mindist", ["ser", *perf, "--source", FIXTURE, "--detector", "mindist"]),
-        # one sample past a block edge of channel.in_blocks
+        # one sample past a block edge of channel.in_blocks: BLOCK, then NET_BLOCK
         ("fixture/ser_mindist_8193", ["ser", *perf, "--source", FIXTURE, "--detector", "mindist",
                                       "--samples", "8193"]),
+        ("fixture/ser_ae_1025", ["ser", *perf, "--source", FIXTURE, "--detector", "ae",
+                                 "--samples", "1025"]),
         ("fixture/mi", ["mi", *perf, "--source", FIXTURE]),
         *((f"fixture/regions_{d}", ["regions", *perf, "--source", FIXTURE, "--detector", d,
                                     "--resolution", "200", "--ppm"])
