@@ -167,9 +167,19 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
 def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
     """y <- y * exp(j*c*|y|^2) + n for each segment's noise n, in order; a tape
     writes segment k's rotation into rotations[k] and its output into
-    states[k+1], and the result is states[K] itself."""
+    states[k+1], and the result is states[K] itself.  With no tape, rotation
+    and output alternate between two spare buffers, so y is never written."""
+    phase = np.empty(y.shape)  # c*|y|^2, refilled each segment
+    sq = np.empty(y.shape)
+    spare = np.empty((2,) + y.shape, dtype=complex) if rotations is None else None
     for k, n in enumerate(noise):
-        rot = np.exp(1j * c * (y.real**2 + y.imag**2), out=None if rotations is None else rotations[k])
+        np.square(y.real, out=phase)
+        phase += np.square(y.imag, out=sq)
+        phase *= c
+        rot = spare[k % 2] if rotations is None else rotations[k]
+        # cos and sin give the bits of np.exp(1j * phase)
+        np.cos(phase, out=rot.real)
+        np.sin(phase, out=rot.imag)
         # numpy evaluates y * <temporary> as <temporary> * y for arrays of
         # 256 KiB and more, and a complex product is not bitwise commutative:
         # an explicit operand order keeps a sample's bits whatever the batch

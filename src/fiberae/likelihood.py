@@ -47,7 +47,9 @@ interpolated direction) once and reads every symbol of the ring from it.
 size; only the per-sample results grow with n.  Given threads >= 2, the
 slices, `build_oracle`'s rings and the noise streams of `mutual_information`'s
 outputs run on a thread pool (`channel.pool_map`); every value is the one of
-one thread.
+one thread.  scipy.special, whose import is most of a command's start-up
+time, loads at the first oracle build, so commands that build no oracle
+never import it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import i0e, ive
 
 from fiberae.channel import ChannelParams, in_blocks, pool_map, simulate
 
@@ -116,6 +117,8 @@ def _mode_law(rho0: float, params: ChannelParams, modes: int):
 
 def _log_modes(law, m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """(len r, len m) complex log of a_m(r); -inf where a_m is 0."""
+    from scipy.special import ive  # on first use: commands with no oracle start without scipy
+
     log_a, alpha, beta = law
     z = np.multiply.outer(r, beta[m])
     with np.errstate(divide="ignore"):  # I_m(0) = 0 for m >= 1
@@ -139,6 +142,8 @@ class _RingDensity:
     shift: np.ndarray
 
     def log_radial(self, r: np.ndarray) -> np.ndarray:
+        from scipy.special import i0e  # on first use: commands with no oracle start without scipy
+
         z = self.beta0 * r
         return self.log_a0 - self.alpha0 * r * r + np.log(i0e(z)) + z
 

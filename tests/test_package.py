@@ -149,6 +149,41 @@ def test_golden_names_thread_mismatches(golden):
     assert golden.thread_mismatches(changed) == ["d/b.txt", "only.csv"]
 
 
+COLD_START = """
+import sys
+from fiberae.cli import main
+
+out = sys.argv[1]
+for argv in (["train", "--power", "5", "--batches", "2", "--out", out + "/ckpt"],
+             ["ser", "--source", "qam", "--detector", "mindist", "--power", "5", "--samples", "2000",
+              "--out", out + "/mindist"],
+             ["ser", "--source", out + "/ckpt", "--detector", "ae", "--power", "5", "--samples", "2000",
+              "--out", out + "/ae"]):
+    assert main(argv + ["--threads", "2"]) == 0, argv
+assert "scipy.special" not in sys.modules
+
+from fiberae.channel import ChannelParams, simulate, watts_from_dbm
+from fiberae.evaluation import qam
+from fiberae.likelihood import build_oracle, ml_detect
+
+points = qam(16, watts_from_dbm(5.0))
+oracle = build_oracle(points, ChannelParams(), threads=2)  # scipy's first import, on pool threads
+assert "scipy.special" in sys.modules
+_, y = simulate(points.points, ChannelParams(), 2000, 0)
+assert (ml_detect(oracle, y) == ml_detect(build_oracle(points, ChannelParams()), y)).all()
+"""
+
+
+def test_commands_without_an_oracle_never_import_scipy(tmp_path):
+    # scipy.special is most of a command's start-up time and only the
+    # exact-law oracle calls it; its first import may run on pool threads
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
 AWGN = ChannelParams(gamma=0.0)
 
 # the functions that take received or sent samples, each on a fixed input
