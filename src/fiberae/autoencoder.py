@@ -21,8 +21,7 @@ normalization scale, and the transmitter in one exact reverse pass.  The
 normalization scale is treated as a differentiable function of the current
 batch's M symbol powers, so the power constraint stays exact throughout
 optimization.  Channel noise is sampled outside the differentiated path
-and held fixed per backward pass; one worker thread draws the next batch's
-noise while the current batch's step runs.
+and held fixed per backward pass; `train` says how it is drawn.
 """
 
 from __future__ import annotations
@@ -83,6 +82,14 @@ class CheckpointError(ValueError):
 
 @dataclass
 class AutoencoderModel:
+    """Transmitter net, receiver net, the channel they are trained on, and
+    the input power in watts.
+
+    These four are the whole state.  `m` is a property, the transmitter's
+    input width, and the power normalization is computed from the weights
+    wherever symbols are needed, never stored.
+    """
+
     tx: DenseNetwork
     rx: DenseNetwork
     params: ChannelParams
@@ -237,11 +244,12 @@ def train(model: AutoencoderModel, batch_size: int, batches: int, learning_rate:
     """Adam-train the model in place at its own power; returns the per-batch mean loss trace.
 
     Batches are balanced: each message appears batch_size/M times.  Noise is
-    redrawn every batch from a stream seeded by seed, so identical settings
-    reproduce identical traces.  One worker thread draws batch b+1's noise
-    while batch b's step runs; it alone uses the stream, in batch order, so
-    the trace and the weights are those of drawing each batch just before
-    its step.  The worker is joined before this returns or raises.  Raises
+    redrawn every batch from the root stream make_rng(seed), so identical
+    settings reproduce identical traces.  One worker thread draws batch
+    b+1's noise while batch b's step runs, which takes the draw off the
+    step's critical path.  It alone uses the stream, in batch order, so the
+    trace and the weights are those of drawing each batch just before its
+    step.  The worker is joined before this returns or raises.  Raises
     ValueError before the model changes unless batch_size is a positive
     multiple of M, batches >= 1 and learning_rate is finite and >= 0, and
     TrainingDivergedError if the loss stops being finite.

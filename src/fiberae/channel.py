@@ -18,19 +18,22 @@ Unit conventions: powers are stored in watts (user-facing dBm values are
 converted at the boundary), lengths in km, and the nonlinearity parameter
 in rad / (W * km), so L * gamma * |x|^2 is a phase in radians.
 
-Randomness: every generator in the package comes from `make_rng`, a numpy
+Randomness.  Every generator in the package comes from `make_rng`, a numpy
 Generator backed by the counter-based Philox bit generator and seeded from
 a SeedSequence of an int or tuple entropy, with real and imaginary normal
-deviates drawn in that order at every segment.  Identical seeds
-give bit-identical outputs.  Every Monte-Carlo estimate reads `simulate`:
+deviates drawn in that order at every segment, so identical seeds give
+bit-identical outputs.  Training and model initialisation read a seed's
+root stream make_rng(seed).  Every Monte-Carlo estimate reads `simulate`:
 message i is i mod M, and the noise of samples [STREAM*b, STREAM*(b+1))
-comes from the stream make_rng((seed, 1, b + 1)), so its outputs depend on
-nothing but the points, the channel, the sample count and the seed.
-Evaluations run their per-sample work over those outputs in `in_blocks`
-slices, of BLOCK samples or, for the receiver net, NET_BLOCK samples, so
-their working memory does not grow with the sample count.  `pool_map` runs
-the streams, the slices, or any other independent tasks on a thread pool
-without changing a result.
+comes from the stream make_rng((seed, 1, b + 1)).  The streams define the
+outputs, so STREAM is fixed apart from the block sizes and thread counts
+that only divide the work: an output depends on nothing but the points, the
+channel, the sample count and the seed.
+
+Evaluations run their per-sample work in `in_blocks` slices (see BLOCK and
+NET_BLOCK), and `pool_map` runs independent tasks on a thread pool;
+`evaluation`'s "Threads." paragraph says which tasks, and why no value
+depends on the thread count.
 """
 
 from __future__ import annotations
@@ -206,20 +209,16 @@ def propagate(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
     return _recurse(xs, params.phase_rate, noise())
 
 
-# samples per noise stream of `simulate`.  The streams define the outputs,
-# so this stays apart from BLOCK and NET_BLOCK, which may change without
-# moving a value.
+# samples per noise stream of `simulate` (see the module docstring)
 STREAM = 8192
 
 
 def simulate(points, params: ChannelParams, n_samples: int, seed: int, threads: int = 1):
     """(msgs, y): messages arange(n_samples) % M and the channel outputs of
-    their points.
+    their points, noised by the streams of the module docstring.
 
-    Samples [STREAM*b, STREAM*(b+1)) take their noise from the stream
-    make_rng((seed, 1, b + 1)).  The streams run on `pool_map` with
-    `threads`, each returning its slice of y, and the slices are joined in
-    order, so no value depends on `threads`.
+    The streams run on `pool_map` with `threads`, each returning its slice
+    of y, and the slices are joined in order.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -231,11 +230,15 @@ def simulate(points, params: ChannelParams, n_samples: int, seed: int, threads: 
     return msgs, np.concatenate(pool_map(stream, range(0, n_samples, STREAM), threads))
 
 
-# samples per block of every n-sized evaluation, which bounds its working
-# memory.  The exact-law detector loops over rings in Python per block, so it
-# wants large blocks.  At NET_BLOCK rows an M = 16 receiver net's layer
-# outputs stay in cache and its gemms below OpenBLAS's own threading, so its
-# blocks can be pooled.
+# Samples per `in_blocks` slice of every n-sized evaluation.  Slicing bounds
+# its working memory whatever n is, and the cuts never move a value.  The two
+# sizes suit two kinds of per-sample work:
+# - BLOCK, for the exact-law log-densities and minimum distance:
+#   `log_densities` loops over rings and symbols in Python once per slice,
+#   so smaller slices pay that loop more often;
+# - NET_BLOCK, for the receiver net: at this many rows an M = 16 net's layer
+#   outputs stay in cache and its gemms below OpenBLAS's own threading, so
+#   its slices can be pooled without contending with OpenBLAS's threads.
 BLOCK = 8192
 NET_BLOCK = 1024
 
@@ -266,7 +269,6 @@ def in_blocks(fn, *arrays, block: int | None = None, threads: int = 1) -> np.nda
     before it: numpy multiplies a one-row matrix through BLAS gemv, which
     rounds differently from the gemm of longer blocks, so blocks of two or
     more samples keep every value bitwise equal to one call on whole arrays.
-    The edges do not depend on `threads`, so neither does any value.
     """
     n = len(arrays[0])
     block = BLOCK if block is None else block

@@ -38,6 +38,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ChannelBlock:
+    """The "channel" block: the link, with its noise power in dBm."""
+
     link_length_km: float = 5000.0
     gamma: float = 1.27
     noise_power_dbm: float = -21.3
@@ -54,6 +56,9 @@ class ChannelBlock:
 
 @dataclass
 class ModelBlock:
+    """The "model" block: M, the layer plan (hidden_width None means M) and
+    the weights' init seed."""
+
     m: int = 16
     tx_hidden_layers: int = 5
     rx_hidden_layers: int = 6
@@ -63,6 +68,9 @@ class ModelBlock:
 
 @dataclass
 class TrainBlock:
+    """The "train" block: Adam's learning rate, the batch size and count,
+    and the noise seed."""
+
     learning_rate: float = 1e-3
     batch_size: int | None = None  # defaults to 64 * m
     batches: int = 10_000
@@ -71,6 +79,9 @@ class TrainBlock:
 
 @dataclass
 class EvalBlock:
+    """The "eval" block: Monte-Carlo samples and seed, and the raster's
+    resolution and half width."""
+
     n_samples: int = 100_000
     oracle_samples: int = 100_000  # unused: the oracle is exact; still checked >= 1000
     seed: int = 200
@@ -80,12 +91,18 @@ class EvalBlock:
 
 @dataclass
 class PathsBlock:
+    """The "paths" block: where `train` writes checkpoints and the other
+    commands their outputs when --out is not given."""
+
     checkpoints: str = "out"
     outputs: str = "out"
 
 
 @dataclass
 class RunConfig:
+    """A whole config, one field per block; `load_config` builds and
+    validates one."""
+
     channel: ChannelBlock = field(default_factory=ChannelBlock)
     model: ModelBlock = field(default_factory=ModelBlock)
     train: TrainBlock = field(default_factory=TrainBlock)
@@ -191,5 +208,8 @@ def resolved_json(config: RunConfig) -> str:
 
 
 def config_hash(config: RunConfig) -> str:
+    """First 16 hex digits of the SHA-256 of the config's compact canonical
+    JSON: the `# config-hash:` of result files, and the <hash> of their
+    config-<hash>.json echo."""
     canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -11,18 +11,25 @@ Every Monte-Carlo estimate reads the balanced messages and channel outputs
 of `channel.simulate` at the caller's seed, so at one seed every metric of
 one constellation scores the same outputs.  Each detector, and `air`'s
 decoder, runs its per-sample work on `channel.in_blocks` slices of those
-outputs or of a raster's pixels, so its working memory is bounded by the
-block size; only the n-sized results (indices, or AIR's per-sample losses)
-grow with n.  The receiver net (the "ae" detector and `air`'s decoder) is
-cut into `channel.NET_BLOCK` slices, the other detectors into
-`channel.BLOCK` slices.
+outputs or of a raster's pixels: `channel.NET_BLOCK` samples for the
+receiver net (the "ae" detector and `air`'s decoder), `channel.BLOCK` for
+the others.  Only the n-sized results (indices, or AIR's per-sample
+losses) grow with n.
 
-Threads.  `threads` never changes a value.  With threads >= 2 an estimate
-propagates the noise streams of its channel outputs on a pool, and the
-dense-net and exact-law detectors and `air`'s decoder run their slices on
-one.  The minimum-distance detector keeps its slices on the calling thread,
-as `detector_for` sets out.  A sweep of several points runs them on a pool
-with one thread each; a sweep of one point gives it every thread.
+Threads.  `threads` never changes a value.  A pool runs only independent
+tasks whose work is fixed without reference to the thread count: a noise
+stream of `channel.STREAM` samples, an `in_blocks` slice cut at multiples
+of its block size, an oracle's amplitude ring, or a sweep point at the
+sweep's own seed.  Each task computes in its own buffers, and
+`channel.pool_map` returns the results in task order.  With threads >= 2
+an estimate propagates its noise streams on a pool, `build_oracle` builds
+its rings on one, and the dense-net and exact-law detectors and `air`'s
+decoder run their slices on one.  The minimum-distance detector keeps its
+slices on the calling thread whatever `threads` is: a nearest-point block
+is too cheap for pooling to save more than the calls' spread.  A sweep of
+several points runs them on a pool with one thread each; a sweep of one
+point gives it every thread.  Training takes no `threads`; see
+`autoencoder.train` for its one worker.
 """
 
 from __future__ import annotations
@@ -132,15 +139,12 @@ def min_distance_detector(constellation: Constellation):
 
 
 def detector_for(kind: str, source, params: ChannelParams, threads: int = 1):
-    """Detector of the given kind ("mindist", "ml" or "ae") for a source.
+    """Detector of the given kind ("mindist", "ml" or "ae") for a source,
+    using `threads` as the module's Threads paragraph sets out.
 
-    "ml" decides on the channel's exact law, built and evaluated on
-    `threads`.  "ae" needs a trained model as the source and decodes its
-    `channel.NET_BLOCK` slices on `threads`; at M = 16 blocks that small
-    stay in cache and below OpenBLAS's own gemm threading, so the pool does
-    not contend with it.  "mindist" runs on the calling thread whatever `threads` is: a
-    nearest-point block is too cheap for pooling to save more than the
-    calls' spread.
+    "mindist" picks the nearest point.  "ml" decides on the channel's exact
+    law.  "ae" needs a trained model as the source and decodes in
+    `channel.NET_BLOCK` slices.
     """
     if kind == "mindist":
         return min_distance_detector(_as_constellation(source))
@@ -210,9 +214,8 @@ def sweep(
     runs on.  metric is one of "ser", "air", "mi"; for "ser" `detector`
     selects "mindist", "ml" (exact-likelihood oracle), or "ae"; "ae" and
     "air" need a model at every power.  Every pair runs at `seed` itself, so
-    a value does not depend on its position in the sweep or on `threads`.
-    Several pairs run on a pool of `threads` threads, one thread each; a
-    single pair runs with all of them.
+    a value does not depend on its position in the sweep.  The pairs share
+    `threads` as the module's Threads paragraph sets out.
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")

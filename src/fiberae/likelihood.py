@@ -43,13 +43,11 @@ use log-densities, which stay finite where a density underflows a double.
 Cost.  `log_densities` finds each ring's radial cell (node, weight and
 interpolated direction) once and reads every symbol of the ring from it.
 `mutual_information` and `ml_detect` evaluate their outputs in
-`channel.in_blocks` slices, so their working memory is bounded by the block
-size; only the per-sample results grow with n.  Given threads >= 2, the
-slices, `build_oracle`'s rings and the noise streams of `mutual_information`'s
-outputs run on a thread pool (`channel.pool_map`); every value is the one of
-one thread.  scipy.special, whose import is most of a command's start-up
-time, loads at the first oracle build, so commands that build no oracle
-never import it.
+`channel.in_blocks` slices of `channel.BLOCK` samples; only the per-sample
+results grow with n.  `threads` is used as `evaluation`'s "Threads."
+paragraph sets out.  scipy.special, whose import is most of a command's
+start-up time, loads at the first oracle build, so commands that build no
+oracle never import it.
 """
 
 from __future__ import annotations
@@ -200,6 +198,13 @@ def _ring_density(rho0: float, params: ChannelParams) -> _RingDensity:
 
 @dataclass
 class LikelihoodOracle:
+    """The exact output law of a constellation on one channel, as
+    `build_oracle` makes it; read it through `log_densities`.
+
+    It holds one gridded law per distinct amplitude |x| and each symbol's
+    index into them, not one law per symbol (see "Rings." above).
+    """
+
     constellation: Constellation
     params: ChannelParams
     densities: list[_RingDensity]  # one per distinct |x|, in increasing order

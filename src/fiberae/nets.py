@@ -44,13 +44,10 @@ ADAM_EPSILON = 1e-8
 
 
 def _sigmoid(z):
-    # branch on sign to avoid overflow in exp
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of -|z| only, so it cannot overflow: 1 / (1 + e^-z) for z >= 0 and
+    # e^z / (1 + e^z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 # name: (activation of z, its derivative from the activation's output a)
@@ -63,6 +60,10 @@ ACTIVATIONS = {
 
 @dataclass
 class DenseLayer:
+    """One layer out = f(x @ weights + biases), f the activation named by
+    `activation` (a key of ACTIVATIONS).  The parameters must be finite and
+    are stored as float arrays."""
+
     weights: np.ndarray  # (n_in, n_out)
     biases: np.ndarray  # (n_out,)
     activation: str
@@ -88,6 +89,9 @@ class DenseLayer:
 
 @dataclass
 class DenseNetwork:
+    """A stack of layers, each one's input width the previous one's output
+    width."""
+
     layers: list[DenseLayer]
 
     def __post_init__(self):
@@ -184,6 +188,7 @@ class AdamState:
 
 
 def adam_init(params: list[np.ndarray], learning_rate: float) -> AdamState:
+    """Adam state at step 0 for `params`: zero moments of their shapes."""
     return AdamState(
         step_count=0,
         first_moment=[np.zeros_like(p) for p in params],

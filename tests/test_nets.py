@@ -48,6 +48,13 @@ class TestForward:
         out, _ = forward(net, np.array([[9.0, -4.0, 2.0]]))
         assert np.array_equal(out, np.full((1, 5), 0.5))
 
+    def test_sigmoid_does_not_overflow(self):
+        # exp underflowing to 0 is how the extremes come out exactly 0 and 1
+        net = DenseNetwork([DenseLayer(np.eye(1), np.zeros(1), "sigmoid")])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            out, _ = forward(net, np.array([[-800.0], [-0.0], [0.0], [800.0]]))
+        assert out.ravel().tolist() == [0.0, 0.5, 0.5, 1.0]
+
     def test_batch_matches_vector(self):
         net = network([4, 8, 3], ["tanh", "sigmoid"], make_rng(0))
         xs = make_rng(1).standard_normal((6, 4))

@@ -3,9 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,17 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"fiberae.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_function_and_class_has_a_docstring(name):
+    # a dataclass without one gets the generated "Name(field: type, ...)"
+    module = importlib.import_module(f"fiberae.{name}")
+    objects = [getattr(module, n) for n in getattr(module, "__all__", ())]
+    bare = [obj.__name__ for obj in objects
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and (not obj.__doc__ or obj.__doc__.startswith(f"{obj.__name__}("))]
+    assert bare == []
 
 
 def test_every_traced_function_exists(monkeypatch):
@@ -64,8 +77,9 @@ def test_oracle_counter_counts_each_grid_once(monkeypatch):
 
 
 def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
-    # the benchmark drives fiberae.cli.main with these command lines; a
-    # renamed or retired flag, or a flag value the config rejects, breaks it
+    # the benchmark drives fiberae.cli.main with these command lines, and the
+    # README shows its own; a renamed or retired flag, or a flag value the
+    # config rejects, breaks them
     path = ROOT / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -74,9 +88,12 @@ def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
     argvs = [workload.argv(call, 1, tmp_path / "out", 2, warmup)
              for workload in workloads.WORKLOADS.values()
              for call in workload.calls for warmup in (False, True)]
-    for argv in argvs:
+    readme = [shlex.split(line, comments=True)[1:]
+              for line in (ROOT / "README.md").read_text().splitlines()
+              if line.startswith("fiberae ")]
+    for argv in argvs + readme:
         _setup(build_parser().parse_args(argv), "outputs")
-    assert argvs and not (tmp_path / "out").exists()
+    assert argvs and len(readme) >= 10 and not (tmp_path / "out").exists()
 
 
 def _bound_name(node):
