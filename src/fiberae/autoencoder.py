@@ -16,12 +16,13 @@ normalization scale sqrt(P_in / mean raw symbol power) are derived from
 the weights; a checkpoint records both, and loading checks them.
 
 Training minimizes the batch-averaged cross-entropy (natural log) with
-Adam, backpropagating through the receiver, the recorded channel tape, the
-normalization scale, and the transmitter in one exact reverse pass.  The
-normalization scale is treated as a differentiable function of the current
-batch's M symbol powers, so the power constraint stays exact throughout
-optimization.  Channel noise is sampled outside the differentiated path
-and held fixed per backward pass; `train` says how it is drawn.
+Adam, backpropagating through the receiver, the channel (whose derivative
+`propagate_tape` carries forward), the normalization scale, and the
+transmitter in one exact reverse pass.  The normalization scale is treated
+as a differentiable function of the current batch's M symbol powers, so the
+power constraint stays exact throughout optimization.  Channel noise is
+sampled outside the differentiated path and held fixed per backward pass;
+`train` says how it is drawn.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def batch_loss_and_grads(model: AutoencoderModel, messages: np.ndarray, noise: n
     exact gradients for every transmitter/receiver parameter.
 
     Returns (loss, grads aligned with model_parameters()).
-    The reverse pass runs decode -> channel tape -> normalization scale ->
+    The reverse pass runs decode -> channel -> normalization scale ->
     transmitter, with the scale differentiated through the batch's M symbol
     powers.
     """

@@ -11,8 +11,9 @@ P_N / (2K).  Dispersion is neglected, so samples never interact.
 
 One loop runs this recursion.  `propagate` feeds it noise drawn segment by
 segment and keeps nothing; `propagate_tape` feeds it the caller's noise and
-records every state and every rotation exp(j*L*gamma*|x[k]|^2/K), which
-`backprop_channel` reuses (conjugated) on the way back.
+carries the output's derivative with respect to the input along, updated in
+place in one pair of arrays, which `backprop_channel` pulls a gradient back
+through.
 
 Unit conventions: powers are stored in watts (user-facing dBm values are
 converted at the boundary), lengths in km, and the nonlinearity parameter
@@ -124,20 +125,19 @@ class ChannelParams:
 
 @dataclass
 class PropagationTape:
-    """Per-segment channel states recorded for exact backpropagation.
+    """The derivative of one propagation's output y with respect to its
+    input x, for the fixed noise of that propagation.
 
-    states[k] is the sample entering segment k+1 (states[0] is the channel
-    input, states[K] the output); rotations[k] = exp(j*c*|states[k]|^2),
-    c = L*gamma/K, is the phase factor segment k+1 applied, so that
-    states[k+1] = states[k]*rotations[k] + noise of segment k+1 holds
-    exactly (bit-level) by construction.
-
-    Arrays have shape (K+1, ...) and (K, ...) where the trailing dimensions
-    are whatever batch shape the input carried.
+    Each segment is R-linear in a perturbation of its input, and so is the
+    whole channel: per sample, dy = a*dx + b*conj(dx), with a = dy/dx and
+    b = dy/d(conj x) in Wirtinger form.  a and b have the batch shape; at
+    gamma = 0 they are exactly 1 and 0.  The name "tape" is kept, like
+    `propagate_tape` and `backprop_channel`, because the benchmark's
+    per-layer figures and counters are keyed on them.
     """
 
-    states: np.ndarray
-    rotations: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     params: ChannelParams
 
 
@@ -167,27 +167,42 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
     return _complex_noise(z[:, 0], z[:, 1], _noise_scale(params), out)
 
 
-def _recurse(y: np.ndarray, c: float, noise, states=None, rotations=None) -> np.ndarray:
-    """y <- y * exp(j*c*|y|^2) + n for each segment's noise n, in order; a tape
-    writes segment k's rotation into rotations[k] and its output into
-    states[k+1], and the result is states[K] itself.  With no tape, rotation
-    and output alternate between two spare buffers, so y is never written."""
+def _recurse(y: np.ndarray, c: float, noise, ab=None) -> np.ndarray:
+    """y <- w + n with w = y*rot, rot = exp(j*c*|y|^2), for each segment's
+    noise n, in order, never writing the input y.  With ab = (a, b), the pair
+    of `PropagationTape`, both are updated in place from dw = rot*dy +
+    j*c*w*(conj(y)*dy + y*conj(dy)), since noise adds nothing: with
+    u = conj(y)*a + y*conj(b), a <- rot*a + j*c*w*u, b <- rot*b + j*c*w*conj(u).
+    """
     phase = np.empty(y.shape)  # c*|y|^2, refilled each segment
     sq = np.empty(y.shape)
-    spare = np.empty((2,) + y.shape, dtype=complex) if rotations is None else None
+    rot, *outs = (np.empty(y.shape, dtype=complex) for _ in range(3))
+    if ab is not None:
+        a, b = ab
+        u, v, t = (np.empty_like(rot) for _ in range(3))
     for k, n in enumerate(noise):
         np.square(y.real, out=phase)
         phase += np.square(y.imag, out=sq)
         phase *= c
-        rot = spare[k % 2] if rotations is None else rotations[k]
         # cos and sin give the bits of np.exp(1j * phase)
         np.cos(phase, out=rot.real)
         np.sin(phase, out=rot.imag)
-        # numpy evaluates y * <temporary> as <temporary> * y for arrays of
-        # 256 KiB and more, and a complex product is not bitwise commutative:
-        # an explicit operand order keeps a sample's bits whatever the batch
-        y = np.multiply(y, rot, out=rot if states is None else states[k + 1])
-        y += n
+        # a complex product is not bitwise commutative, numpy swaps y * <temporary>
+        # from 256 KiB on, and a one-element product into one of its operands takes
+        # another path: every product names its operand order and a third output
+        w = np.multiply(y, rot, out=outs[k % 2])
+        if ab is not None:
+            np.multiply(np.conjugate(y, out=t), a, out=u)
+            u += np.multiply(y, np.conjugate(b, out=v), out=t)
+            np.multiply(w, 1j * c, out=v)
+            np.multiply(rot, a, out=t)
+            np.multiply(v, u, out=a)
+            a += t
+            np.multiply(rot, b, out=t)
+            np.multiply(v, np.conjugate(u, out=u), out=b)
+            b += t
+        w += n
+        y = w
     return y
 
 
@@ -278,45 +293,29 @@ def in_blocks(fn, *arrays, block: int | None = None, threads: int = 1) -> np.nda
 
 
 def propagate_tape(x, noise: np.ndarray, params: ChannelParams):
-    """Propagate with caller-supplied noise, recording every state and rotation.
+    """Propagate with caller-supplied noise, carrying the derivative along.
 
     Deterministic given `noise` (shape (K, ...) matching the batch shape
-    of `x`).  Returns (output, PropagationTape); the output is the tape's
-    last state, tape.states[-1] itself, not a copy.
+    of `x`), and its output is bitwise that of `propagate` on the same
+    noise.  Returns (output, PropagationTape).
     """
     xs = np.atleast_1d(np.asarray(x, dtype=complex))
     if noise.shape[0] != params.segments:
-        raise ValueError(
-            f"noise has {noise.shape[0]} segments, params require {params.segments}"
-        )
+        raise ValueError(f"noise has {noise.shape[0]} segments, params require {params.segments}")
     if noise.shape[1:] != xs.shape:
         raise ValueError(f"noise batch shape {noise.shape[1:]} != input shape {xs.shape}")
-    states = np.empty((params.segments + 1,) + xs.shape, dtype=complex)
-    rotations = np.empty((params.segments,) + xs.shape, dtype=complex)
-    states[0] = xs
-    y = _recurse(xs, params.phase_rate, noise, states, rotations)
-    return y, PropagationTape(states=states, rotations=rotations, params=params)
+    tape = PropagationTape(np.ones(xs.shape, dtype=complex), np.zeros(xs.shape, dtype=complex), params)
+    return _recurse(xs, params.phase_rate, noise, (tape.a, tape.b)), tape
 
 
 def backprop_channel(tape: PropagationTape, grad_output: np.ndarray) -> np.ndarray:
     """Pull a loss gradient at the channel output back to the input.
 
     Gradients are encoded as complex numbers: Re(g) = dL/dRe, Im(g) =
-    dL/dIm.  For each segment the map (a, b) -> (a cos t - b sin t,
-    a sin t + b cos t), t = c (a^2 + b^2), has transpose-Jacobian action
+    dL/dIm.  A real loss changes by Re(conj(g_y)*dy), and dy = a*dx +
+    b*conj(dx), so the exact gradient for the tape's fixed noise is
 
-        g_in = g_out * exp(-j t) + 2 c Im(g_out * conj(w)) * x
-
-    where x is the segment input and w = x * exp(j t) the rotated value;
-    additive noise contributes identity.  exp(j t) is the rotation the tape
-    recorded, so exp(-j t) is its conjugate and nothing is recomputed.
-    Applying this from the last segment to the first yields the exact
-    reverse-mode gradient for the fixed noise realization of the tape.
+        g_x = conj(a)*g_y + b*conj(g_y).
     """
-    g = grad_output
-    c = tape.params.phase_rate
-    for x, rot in zip(tape.states[-2::-1], tape.rotations[::-1]):
-        # g first in both products, whatever the batch size (see _recurse)
-        w = np.multiply(g, np.conj(x * rot))
-        g = np.multiply(g, np.conj(rot)) + 2.0 * c * w.imag * x
-    return g
+    g = grad_output  # first in both products, whatever the batch size (see _recurse)
+    return np.multiply(g, np.conj(tape.a)) + np.multiply(np.conj(g), tape.b)

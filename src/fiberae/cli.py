@@ -350,10 +350,9 @@ def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
     p.add_argument("--seed", type=int, dest=seed,
                    help=f"override config {seed}" if "." in seed else "seed (default 0)")
     p.add_argument("--threads", type=int, default=_usable_cpus(),
-                   help="worker threads, by default the CPUs this process may use; several "
-                        "powers share them one each, and one power or raster uses them all to "
-                        "pool its channel noise streams and its exact-law oracle's rings and "
-                        "blocks (results do not depend on this)")
+                   help="worker threads, by default the CPUs this process may use: evaluations "
+                        "pool independent work on them, and no result depends on the count (see "
+                        "fiberae.evaluation's Threads paragraph); train accepts and ignores it")
     p.add_argument("--out", help="output directory (overrides config paths)")
 
 

@@ -3,7 +3,7 @@
 Three checks, one per gradient implementation:
 
 * dense networks alone (forward/backward),
-* the channel tape (backprop_channel) for several segment counts,
+* the channel's carried derivative (backprop_channel) for several segment counts,
 * the full training loss through transmitter, normalization, channel,
   and receiver with a fixed noise realization.
 
@@ -105,7 +105,7 @@ def dense_network_error(seed: int = 0) -> float:
 
 
 def channel_error(segment_counts=(1, 5, 50), seed: int = 0) -> float:
-    """Worst error of backprop_channel against differencing propagate_tape."""
+    """Worst error of backprop_channel against differencing propagate_tape's output."""
     worst = 0.0
     rng = make_rng(seed)
     for segments in segment_counts:
@@ -127,7 +127,7 @@ def channel_error(segment_counts=(1, 5, 50), seed: int = 0) -> float:
 def end_to_end_error(m: int = 4, segments: int = 5, batch: int = 8, seed: int = 0) -> float:
     """Worst parameter-gradient error of the full training loss at 0 dBm.
 
-    Differentiates the batch cross-entropy through receiver, channel tape,
+    Differentiates the batch cross-entropy through receiver, channel,
     power normalization, and transmitter against central differences over
     every weight and bias, holding one noise realization, drawn from
     make_rng((seed, 1)), fixed.

@@ -382,6 +382,17 @@ class TestSer:
             contents.append((out / "ser_qam_mindist.csv").read_bytes())
         assert contents[0] == contents[1]
 
+    def test_train_threads_help_says_it_is_ignored(self, capsys):
+        # every subcommand shares the --threads text, so it must hold for
+        # train, which accepts the flag (the benchmark passes it) and pools nothing
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "train accepts and ignores it" in text
+        assert "fiberae.evaluation's Threads paragraph" in text
+        assert "oracle" not in text
+        assert build_parser().parse_args(["train", "--power", "0", "--threads", "2"]).threads == 2
+
     def test_sweep_row_is_the_one_point_run(self, tmp_path):
         # a row depends on its power and the seed, not on its place in the
         # sweep; 16-QAM on the default channel errs at 5 dBm, so the row

@@ -17,7 +17,15 @@ import pytest
 
 import fiberae
 from fiberae.autoencoder import build_model, decode, detect
-from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
+from fiberae.channel import (
+    ChannelParams,
+    backprop_channel,
+    draw_noise,
+    make_rng,
+    propagate,
+    propagate_tape,
+    watts_from_dbm,
+)
 from fiberae.cli import _setup, build_parser
 from fiberae.evaluation import qam
 from fiberae.likelihood import build_oracle, log_densities, ml_detect
@@ -46,14 +54,19 @@ def test_every_exported_function_and_class_has_a_docstring(name):
     assert bare == []
 
 
+def _perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_traced_function_exists(monkeypatch):
     # the benchmark's tracer silently skips a (module, function) it cannot
     # find, so a renamed function would drop out of the per-layer figures
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = _perfbench(monkeypatch, "spans")
     missing = [
         f"{mod}.{fn}" for mod, fn, _ in spans.TRACED
         if not callable(getattr(importlib.import_module(f"fiberae.{mod}"), fn, None))
@@ -64,11 +77,7 @@ def test_every_traced_function_exists(monkeypatch):
 def test_oracle_counter_counts_each_grid_once(monkeypatch):
     # the benchmark's grid-cell figure is the work an oracle build does: each
     # amplitude ring's grid once, not once for every symbol on the ring
-    path = ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
+    spans = _perfbench(monkeypatch, "spans")
     (count,) = [c for mod, fn, c in spans.TRACED if (mod, fn) == ("likelihood", "build_oracle")]
     oracle = build_oracle(qam(16, watts_from_dbm(5.0)), ChannelParams())
     grids = {id(d.grid): d.grid.size for d in oracle.densities}
@@ -76,15 +85,29 @@ def test_oracle_counter_counts_each_grid_once(monkeypatch):
     assert count((), {}, oracle)["cells"] == sum(grids.values()) == 33_408
 
 
+def test_channel_counters_count_each_segment_update(monkeypatch):
+    # the benchmark's channel figures come from these counters, run on a
+    # call's arguments and result; one that raises prints a warning and
+    # leaves its layer at zero, so a change to the tape's fields must not
+    params = ChannelParams()
+    rng = make_rng(2)
+    x = 0.04 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    noise = draw_noise(params, x.shape, rng)
+    g = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    result = propagate_tape(x, noise, params)
+    grad = backprop_channel(result[1], g)
+    counters = {fn: c for mod, fn, c in _perfbench(monkeypatch, "spans").TRACED if mod == "channel"}
+    forward = counters["propagate_tape"]((x, noise, params), {}, result)
+    backward = counters["backprop_channel"]((), {"tape": result[1], "grad_output": g}, grad)
+    assert forward["updates"] == backward["updates"] == 6 * params.segments
+    assert forward["bytes"] > 0 and backward["bytes"] > 0
+
+
 def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
     # the benchmark drives fiberae.cli.main with these command lines, and the
     # README shows its own; a renamed or retired flag, or a flag value the
     # config rejects, breaks them
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
+    workloads = _perfbench(monkeypatch, "workloads")
     argvs = [workload.argv(call, 1, tmp_path / "out", 2, warmup)
              for workload in workloads.WORKLOADS.values()
              for call in workload.calls for warmup in (False, True)]
