@@ -3,7 +3,7 @@
 The package provides, as plain numpy code:
 
 * ``channel``      -- the per-sample nonlinear phase-noise channel and its
-                      exact reverse-mode gradient,
+                      exact gradient, carried forward through the recursion,
 * ``nets``         -- a minimal dense-network engine (forward, backprop,
                       cross-entropy, Adam),
 * ``autoencoder``  -- the trainable transmitter/channel/receiver stack with

@@ -76,9 +76,9 @@ def watts_from_dbm(p_dbm: float) -> float:
 
 
 def dbm_from_watts(p_w: float) -> float:
-    """Convert a power in watts to dBm."""
-    if p_w <= 0:
-        raise ValueError("power must be positive to express in dBm")
+    """Convert a power in watts to dBm; ValueError unless it is finite and positive."""
+    if not 0 < p_w < math.inf:
+        raise ValueError("power must be finite and positive to express in dBm")
     return 10.0 * np.log10(p_w) + 30.0
 
 

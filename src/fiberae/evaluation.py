@@ -19,16 +19,16 @@ losses) grow with n.
 Threads.  `threads` never changes a value.  A pool runs only independent
 tasks whose work is fixed without reference to the thread count: a noise
 stream of `channel.STREAM` samples, an `in_blocks` slice cut at multiples
-of its block size, an oracle's amplitude ring, or a sweep point at the
-sweep's own seed.  Each task computes in its own buffers, and
-`channel.pool_map` returns the results in task order.  With threads >= 2
-an estimate propagates its noise streams on a pool, `build_oracle` builds
-its rings on one, and the dense-net and exact-law detectors and `air`'s
-decoder run their slices on one.  The minimum-distance detector keeps its
-slices on the calling thread whatever `threads` is: a nearest-point block
-is too cheap for pooling to save more than the calls' spread.  A sweep of
-several points runs them on a pool with one thread each; a sweep of one
-point gives it every thread.  Training takes no `threads`; see
+of its block size, or an oracle's amplitude ring.  Each task computes in
+its own buffers, and `channel.pool_map` returns the results in task order.
+With threads >= 2 an estimate propagates its noise streams on a pool,
+`build_oracle` builds its rings on one, and the dense-net and exact-law
+detectors and `air`'s decoder run their slices on one.  The
+minimum-distance detector keeps its slices on the calling thread whatever
+`threads` is: a nearest-point block is too cheap for pooling to save more
+than the calls' spread.  A sweep runs its points one after another, each
+on every thread, so no pool task starts a pool, and the first point that
+raises ends the sweep with its error.  Training takes no `threads`; see
 `autoencoder.train` for its one worker.
 """
 
@@ -43,7 +43,7 @@ import numpy as np
 
 from fiberae import channel
 from fiberae.autoencoder import AutoencoderModel, constellation_points, decode, detect
-from fiberae.channel import ChannelParams, in_blocks, pool_map, simulate
+from fiberae.channel import ChannelParams, in_blocks, simulate
 from fiberae.likelihood import Constellation, build_oracle, ml_detect, mutual_information
 from fiberae.nets import cross_entropy
 
@@ -214,8 +214,8 @@ def sweep(
     runs on.  metric is one of "ser", "air", "mi"; for "ser" `detector`
     selects "mindist", "ml" (exact-likelihood oracle), or "ae"; "ae" and
     "air" need a model at every power.  Every pair runs at `seed` itself, so
-    a value does not depend on its position in the sweep.  The pairs share
-    `threads` as the module's Threads paragraph sets out.
+    a value does not depend on its position in the sweep.  The pairs run in
+    turn, each on all `threads`, as the module's Threads paragraph sets out.
     """
     if metric not in ("ser", "air", "mi"):
         raise ValueError(f"unknown metric {metric!r}")
@@ -227,16 +227,13 @@ def sweep(
     if untrained and (metric == "air" or metric == "ser" and detector == "ae"):
         raise ValueError(f"{metric} with the ae decoder needs a trained model at {untrained} dBm")
 
-    # several points share the threads one each; a single point gets them all
-    inner = threads if len(sources) == 1 else 1
-
     def one_power(source) -> float:
         if metric == "ser":
-            det = detector_for(detector, source, params, inner)
-            return ser(source, det, params, n_samples, seed, inner)
+            det = detector_for(detector, source, params, threads)
+            return ser(source, det, params, n_samples, seed, threads)
         if metric == "air":
-            return air(source, n_samples, seed, inner)
-        oracle = build_oracle(_as_constellation(source), params, inner)
-        return mutual_information(oracle, n_samples, seed, inner)
+            return air(source, n_samples, seed, threads)
+        oracle = build_oracle(_as_constellation(source), params, threads)
+        return mutual_information(oracle, n_samples, seed, threads)
 
-    return pool_map(one_power, [s for _, s in sources], threads)
+    return [one_power(s) for _, s in sources]

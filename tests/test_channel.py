@@ -43,9 +43,11 @@ class TestUnits:
         with pytest.raises(ValueError):
             watts_from_dbm(p_dbm)
 
-    def test_dbm_rejects_nonpositive(self):
+    @pytest.mark.parametrize("p_w", [0.0, -1e-3, math.nan, math.inf])
+    def test_dbm_rejects_nonpositive(self, p_w):
+        # NaN and infinity have no finite dBm either
         with pytest.raises(ValueError):
-            dbm_from_watts(0.0)
+            dbm_from_watts(p_w)
 
 
 class TestParams:

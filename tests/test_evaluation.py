@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -248,9 +249,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("metric, estimate", [("ser", "ser"), ("air", "air"),
                                                   ("mi", "mutual_information")])
-    def test_one_point_gets_every_thread(self, metric, estimate, monkeypatch):
-        # several points share the threads one each (nested pools were
-        # slower); a single point runs its own work on all of them
+    def test_every_point_gets_every_thread(self, metric, estimate, monkeypatch):
+        # the points run in turn, each on all the threads, so the pools
+        # inside each estimate are the only parallel layer
         seen = []
 
         def record(*args):
@@ -265,7 +266,7 @@ class TestSweep:
             sources = qpsk_sources(powers)
         sweep(sources[:1], metric, AWGN, 100, seed=0, threads=3)
         sweep(sources, metric, AWGN, 100, seed=0, threads=3)
-        assert seen == [3, 1, 1]
+        assert seen == [3, 3, 3]
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
@@ -464,6 +465,33 @@ class TestThreads:
         ser(model, detector_for("ae", model, NLPN, 3), NLPN, 3 * BLOCK + 1, 5, threads=3)
         decision_regions(detector_for("ml", oracle.constellation, NLPN, 3), raster_spec(130))
         assert threading.active_count() == before
+
+    def test_only_the_calling_thread_builds_pools(self, monkeypatch):
+        # one parallel layer: no pool task starts a pool of its own
+        builders = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                builders.append(threading.get_ident())
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fiberae.channel, "ThreadPoolExecutor", RecordingPool)
+        powers = [-3.0, 0.0]
+        qams = [(p, qam(16, watts_from_dbm(p))) for p in powers]
+        models = [(p, build_model(16, NLPN, watts_from_dbm(p), seed=3)) for p in powers]
+        n = 2 * BLOCK  # two noise streams and two slices at each point
+        runs = {
+            "ser": lambda: sweep(qams, "ser", NLPN, n, seed=0, detector="ml", threads=3),
+            "mi": lambda: sweep(qams, "mi", NLPN, n, seed=0, threads=3),
+            "air": lambda: sweep(models, "air", NLPN, n, seed=0, threads=3),
+            "regions": lambda: decision_regions(detector_for("ml", qams[0][1], NLPN, 3),
+                                                raster_spec(130)),
+        }
+        for name, run in runs.items():
+            before = len(builders)
+            run()
+            assert len(builders) > before, f"{name} built no pool"
+        assert set(builders) == {threading.get_ident()}
 
     def test_no_thread_outlives_a_raising_block(self):
         def fail_on_second_block(y):
