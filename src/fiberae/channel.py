@@ -160,6 +160,9 @@ def draw_noise(params: ChannelParams, shape, rng: np.random.Generator) -> np.nda
 
     Segments are drawn in order, each one's real parts before its imaginary
     parts, so one draw for K segments and K draws of one give the same values.
+    It is one call, not `propagate`'s per-segment loop, because K small draws
+    on `train`'s draw-ahead worker contend with the step for the GIL and
+    cost the worker most of its gain.
     """
     shape = tuple(shape)
     z = rng.standard_normal((params.segments, 2) + shape)

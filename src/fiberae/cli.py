@@ -159,9 +159,6 @@ def _resolve_sources(args, config: RunConfig) -> list[tuple[float, object]]:
     powers = _parse_powers(args)
     source = Path(args.source)
     if args.source == "qam":
-        if args.detector == "ae":
-            needs = "air" if args.command == "air" else "the ae detector"
-            raise CliError(f"{needs} needs a trained decoder: pass a checkpoint, not qam")
         pairs = [(p, qam(config.model.m, watts_from_dbm(p))) for p in powers]
     elif source.is_dir():
         pairs = []
@@ -308,17 +305,12 @@ def cmd_regions(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config, out_dir = _setup(args, "outputs")
-    report = run_all(seed=args.seed)
-    lines = []
-    ok = True
-    for name, err in report.items():
-        passed = err <= TOLERANCE
-        ok = ok and passed
-        line = f"{name}: max relative error {err:.3e} (tolerance {TOLERANCE:g}) {'PASS' if passed else 'FAIL'}"
-        lines.append(line)
-        print(line)
-    _write_text(out_dir / "gradcheck.txt", config, args.seed, lines)
-    return 0 if ok else 1
+    report = run_all(seed=config.eval.seed)
+    lines = [f"{name}: max relative error {err:.3e} (tolerance {TOLERANCE:g}) "
+             f"{'PASS' if err <= TOLERANCE else 'FAIL'}" for name, err in report.items()]
+    print("\n".join(lines))
+    _write_text(out_dir / "gradcheck.txt", config, config.eval.seed, lines)
+    return 0 if all(err <= TOLERANCE for err in report.values()) else 1
 
 
 def cmd_export_constellation(args) -> int:
@@ -347,12 +339,12 @@ def _usable_cpus() -> int:
 
 def _add_common(p: argparse.ArgumentParser, seed: str = "eval.seed") -> None:
     p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
-    p.add_argument("--seed", type=int, dest=seed,
-                   help=f"override config {seed}" if "." in seed else "seed (default 0)")
+    p.add_argument("--seed", type=int, dest=seed, help=f"override config {seed}")
     p.add_argument("--threads", type=int, default=_usable_cpus(),
                    help="worker threads, by default the CPUs this process may use: evaluations "
                         "pool independent work on them, and no result depends on the count (see "
-                        "fiberae.evaluation's Threads paragraph); train accepts and ignores it")
+                        "fiberae.evaluation's Threads paragraph); train, gradcheck and "
+                        "export-constellation accept and ignore it")
     p.add_argument("--out", help="output directory (overrides config paths)")
 
 
@@ -415,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_regions, powers=None)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of all gradients")
-    _add_common(p, seed="seed")
-    p.set_defaults(func=cmd_gradcheck, seed=0)
+    _add_common(p)
+    p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("export-constellation", help="dump a checkpoint's symbols as CSV")
     _add_common(p)

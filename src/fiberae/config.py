@@ -127,8 +127,12 @@ class RunConfig:
             raise ConfigError("train.learning_rate must be nonnegative")
         if self.train.batches < 1:
             raise ConfigError("train.batches must be at least 1")
-        if self.batch_size() % self.model.m != 0:
-            raise ConfigError("train.batch_size must be a multiple of model.m")
+        if self.batch_size() < 1 or self.batch_size() % self.model.m != 0:
+            raise ConfigError("train.batch_size must be a positive multiple of model.m")
+        for name, seed in (("model.init_seed", self.model.init_seed), ("train.seed", self.train.seed),
+                           ("eval.seed", self.eval.seed)):
+            if seed < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if self.eval.n_samples < 1:
             raise ConfigError("eval.n_samples must be at least 1")
         if self.eval.oracle_samples < 1000:

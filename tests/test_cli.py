@@ -107,6 +107,46 @@ class TestFlagOverrides:
         assert err.startswith("error:") and field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, field", [
+        (("train", "--power", "0"), "train.seed"),
+        (("ser", "--source", "qam", "--power", "0"), "eval.seed"),
+        (("mi", "--source", "qam", "--power", "0"), "eval.seed"),
+        (("air", "--checkpoint", "x.json"), "eval.seed"),
+        (("regions", "--source", "qam", "--detector", "mindist", "--power", "0"), "eval.seed"),
+        (("gradcheck",), "eval.seed"),
+        (("export-constellation", "--checkpoint", "x.json"), "eval.seed"),
+    ], ids=lambda a: a[0] if isinstance(a, tuple) else None)
+    def test_negative_seed_flag_names_its_field(self, tmp_path, awgn_config, capsys, argv,
+                                                 field):
+        # regions used to write "# seed: -1"; others failed later, naming no field
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "-1", "--config", awgn_config, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be nonnegative" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, key, value, message", [
+        ("train", "batch_size", -16, "train.batch_size must be a positive multiple of model.m"),
+        ("train", "batch_size", 0, "train.batch_size must be a positive multiple of model.m"),
+        ("model", "init_seed", -1, "model.init_seed must be nonnegative"),
+        ("train", "seed", -3, "train.seed must be nonnegative"),
+        ("eval", "seed", -1, "eval.seed must be nonnegative"),
+    ], ids=["batch_size-negative", "batch_size-zero", "init_seed", "train-seed", "eval-seed"])
+    @pytest.mark.parametrize("argv", [
+        ("train", "--power", "0"),
+        ("ser", "--source", "qam", "--power", "0"),
+        ("gradcheck",),
+    ], ids=lambda a: a[0])
+    def test_out_of_range_config_value_names_its_field(self, tmp_path, capsys, argv, block, key,
+                                                       value, message):
+        # both batch sizes are multiples of M, so they used to pass load_config
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**AWGN_CONFIG, block: {**AWGN_CONFIG[block], key: value}}))
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--config", config, "--out", out) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_export_records_flag_seed(self, tmp_path):
         out = tmp_path / "out"
         fixture = Path(__file__).resolve().parents[1] / "perfbench/fixture/ae_m16_p+0.00dbm.json"
@@ -295,6 +335,18 @@ class TestGradcheck:
         assert report.count("PASS") == 3
         assert "FAIL" not in report
 
+    def test_seed_is_the_eval_seed(self, tmp_path, awgn_config):
+        # its header and echo describe the run: the hash is the one mi writes at that seed
+        out = tmp_path / "out"
+        assert run_cli("gradcheck", "--config", awgn_config, "--seed", "5", "--out", out) == 0
+        assert run_cli("mi", "--config", awgn_config, "--seed", "5", "--source", "qam",
+                       "--power", "-10", "--out", out) == 0
+        report = out / "gradcheck.txt"
+        lines = report.read_text().splitlines()
+        assert lines[1] == (out / "mi_qam.csv").read_text().splitlines()[1]
+        assert lines[1].startswith("# config-hash: ") and lines[2] == "# seed: 5"
+        assert echoed_config(report)["eval"]["seed"] == 5
+
 
 class TestTrainAndExport:
     def test_train_export_roundtrip(self, tmp_path, awgn_config):
@@ -382,13 +434,16 @@ class TestSer:
             contents.append((out / "ser_qam_mindist.csv").read_bytes())
         assert contents[0] == contents[1]
 
-    def test_train_threads_help_says_it_is_ignored(self, capsys):
+    def test_train_threads_help_says_it_is_ignored(self, capsys, monkeypatch):
         # every subcommand shares the --threads text, so it must hold for
-        # train, which accepts the flag (the benchmark passes it) and pools nothing
+        # train, which accepts the flag (the benchmark passes it) and pools
+        # nothing, and for gradcheck and export-constellation, which pool nothing;
+        # wide enough that argparse breaks no line at a hyphen
+        monkeypatch.setenv("COLUMNS", "1000")
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--help"])
         text = " ".join(capsys.readouterr().out.split())
-        assert "train accepts and ignores it" in text
+        assert "train, gradcheck and export-constellation accept and ignore it" in text
         assert "fiberae.evaluation's Threads paragraph" in text
         assert "oracle" not in text
         assert build_parser().parse_args(["train", "--power", "0", "--threads", "2"]).threads == 2
@@ -554,17 +609,20 @@ class TestInputsResolvedFirst:
         assert message in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
-    @pytest.mark.parametrize("argv, needs", [
-        (("ser", "--source", "qam", "--detector", "ae"), "the ae detector"),
-        (("regions", "--source", "qam", "--detector", "ae"), "the ae detector"),
-        (("air", "--checkpoint", "qam"), "air"),
+    @pytest.mark.parametrize("argv, message", [
+        (("ser", "--source", "qam", "--detector", "ae"),
+         "ser with the ae decoder needs a trained model at [0.0] dBm"),
+        (("regions", "--source", "qam", "--detector", "ae"),
+         "the ae detector needs a trained model, not a Constellation"),
+        (("air", "--checkpoint", "qam"),
+         "air with the ae decoder needs a trained model at [0.0] dBm"),
     ], ids=["ser", "regions", "air"])
     def test_qam_source_without_decoder_rejected(self, tmp_path, awgn_config, capsys, argv,
-                                                 needs):
+                                                 message):
+        # the library refuses these before any file is written
         out = tmp_path / "out"
         assert run_cli(*argv, "--power", "0", "--config", awgn_config, "--out", out) == 1
-        err = capsys.readouterr().err
-        assert f"error: {needs} needs a trained decoder: pass a checkpoint, not qam" in err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_regions_takes_no_power_sweep(self, tmp_path, awgn_config):

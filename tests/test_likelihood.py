@@ -319,6 +319,23 @@ class TestExactLaw:
             turn = (err.imag + np.pi) % (2.0 * np.pi) - np.pi
             assert np.all(np.abs(err.real + 1j * turn) <= tol * (1.0 + np.abs(log_a)))
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_mode_recursion_tends_to_its_continuum_law(self, m):
+        # with L and P_N fixed, u = 1/alpha_m tends as K grows to the solution of
+        # du/dz = P_N/L - j m gamma u^2, u(0) = 0: u(L) = sqrt(P_N/(j m gamma L))
+        # tanh(sqrt(j m gamma P_N L)).  Its error halves with each doubling of K,
+        # measured 1.987-1.999; at K = 800 it is 2.9e-5 (m = 1) to 1.5e-4 (m = 5)
+        jmg = 1j * m * NLPN.gamma
+        pn, length = NLPN.noise_power_w, NLPN.link_length_km
+        u = np.sqrt(pn / (jmg * length)) * np.tanh(np.sqrt(jmg * pn * length))
+        errs = []
+        for segments in (25, 50, 100, 200, 400, 800):
+            _, alpha, _ = _mode_law(0.0, replace(NLPN, segments=segments), m + 1)
+            errs.append(abs(1.0 / alpha[m] - u) / abs(u))
+        ratios = np.array(errs[:-1]) / np.array(errs[1:])
+        assert np.all((ratios >= 1.9) & (ratios <= 2.1)), ratios
+        assert errs[-1] < 2e-4
+
     def test_grid_matches_direct_mode_sum(self):
         # random points inside each ring's grid, 16-QAM at 5 dBm: bilinear
         # interpolation of the profile against the mode sum at the point.
