@@ -17,10 +17,10 @@ Run:  python3 demos/01_channel_tour.py
 
 import numpy as np
 
-from fiberae.channel import ChannelParams, make_rng, propagate, watts_from_dbm
+from fiberae.channel import NOISE_POWER_DBM, ChannelParams, make_rng, propagate, watts_from_dbm
 
-params = ChannelParams()  # 5000 km, gamma 1.27 rad/(W km), -21.3 dBm noise, K=50
-print(f"noise power: {params.noise_power_w:.3e} W (-21.3 dBm)")
+params = ChannelParams()  # its defaults are the operating point every command runs at
+print(f"noise power: {params.noise_power_w:.3e} W ({NOISE_POWER_DBM} dBm)")
 
 # --- deterministic phase rotation --------------------------------------
 x = np.sqrt(1e-3)  # 0 dBm symbol on the real axis

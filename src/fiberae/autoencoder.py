@@ -6,10 +6,10 @@ constellation to the average-power budget, sends it through the nonlinear
 channel, and decodes a batch of received samples with the receiver net,
 whose sigmoid outputs are normalized to one posterior per sample.
 
-Default layer plan (overridable): the transmitter has 5 hidden tanh layers
-of width M and a linear 2-neuron output; the receiver takes the 2 real
-channel outputs through 6 hidden tanh layers of width M into a sigmoid
-M-neuron output.
+Default layer plan, `build_model`'s and the config's: the transmitter has
+TX_HIDDEN_LAYERS hidden tanh layers of width M and a linear 2-neuron
+output; the receiver takes the 2 real channel outputs through
+RX_HIDDEN_LAYERS hidden tanh layers of width M into a sigmoid M-neuron output.
 
 A model is its two networks, its channel and its input power.  M and the
 normalization scale sqrt(P_in / mean raw symbol power) are derived from
@@ -69,6 +69,8 @@ __all__ = [
     "load_checkpoint",
 ]
 
+TX_HIDDEN_LAYERS = 5
+RX_HIDDEN_LAYERS = 6
 CHECKPOINT_FORMAT = "fiberae-autoencoder-checkpoint"
 CHECKPOINT_VERSION = 1
 
@@ -120,8 +122,8 @@ def build_model(
     params: ChannelParams,
     input_power_w: float,
     seed: int,
-    tx_hidden: int = 5,
-    rx_hidden: int = 6,
+    tx_hidden: int = TX_HIDDEN_LAYERS,
+    rx_hidden: int = RX_HIDDEN_LAYERS,
     hidden_width: int | None = None,
 ) -> AutoencoderModel:
     """Glorot-initialized model with the default layer plan."""

@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ChannelParams",
+    "NOISE_POWER_DBM",
     "PropagationTape",
     "watts_from_dbm",
     "dbm_from_watts",
@@ -62,6 +63,8 @@ __all__ = [
     "propagate_tape",
     "backprop_channel",
 ]
+
+NOISE_POWER_DBM = -21.3  # kept in dBm: its watts do not convert back exactly
 
 
 def watts_from_dbm(p_dbm: float) -> float:
@@ -97,13 +100,13 @@ def make_rng(entropy) -> np.random.Generator:
 class ChannelParams:
     """Physical constants of the simplified fiber link.
 
-    Defaults are the operating point used throughout: a 5000 km link,
-    gamma = 1.27 rad/(W km), noise power -21.3 dBm, 50 segments.
+    The defaults are the operating point used throughout and the config's
+    "channel" defaults; the noise power's is NOISE_POWER_DBM in dBm.
     """
 
     link_length_km: float = 5000.0
     gamma: float = 1.27
-    noise_power_w: float = field(default_factory=lambda: watts_from_dbm(-21.3))
+    noise_power_w: float = watts_from_dbm(NOISE_POWER_DBM)
     segments: int = 50
 
     def __post_init__(self):

@@ -53,7 +53,7 @@ def _checked_power(p_dbm: float) -> float:
         watts_from_dbm(p_dbm)
     except ValueError as exc:
         raise CliError(f"bad input power: {exc}") from exc
-    return p_dbm
+    return p_dbm + 0.0  # -0 names the same file and row as 0
 
 
 def _parse_powers(args) -> list[float]:
@@ -73,7 +73,7 @@ def _parse_powers(args) -> list[float]:
         # the cap also ends a sweep whose step is below the resolution of v
         if len(out) == MAX_SWEEP_POINTS:
             raise CliError(f"--powers {args.powers} gives more than {MAX_SWEEP_POINTS} points")
-        out.append(_checked_power(round(v, 10) + 0.0))
+        out.append(_checked_power(round(v, 10)))
         v += step
     if not out:
         raise CliError(f"--powers {args.powers} gives no power: its start is above its stop")
@@ -119,7 +119,8 @@ def _write_ppm(path: Path, grid, m: int) -> None:
 
 def _load_checkpoint_file(path: Path) -> AutoencoderModel:
     if not path.is_file():
-        raise CliError(f"checkpoint {path} does not exist")
+        problem = "is a directory, not a checkpoint file" if path.is_dir() else "does not exist"
+        raise CliError(f"checkpoint {path} {problem}")
     return load_checkpoint(path)
 
 

@@ -2,11 +2,11 @@
 
 A config file is a JSON document with up to five blocks (channel, model,
 train, eval, paths); every field is optional and missing ones take the
-defaults below, which reproduce the standard operating point (5000 km,
-gamma 1.27, noise -21.3 dBm, 50 segments, M=16).  Unknown blocks or keys
-are rejected so typos cannot silently change an experiment, and so is a
-value of the wrong type: a bool or 5.0 for an int field, or a non-finite
-number for a float field.
+defaults below.  The channel block's defaults, the operating point, are
+those of `ChannelParams` and `NOISE_POWER_DBM`, and the model block's layer
+plan is `build_model`'s.  Unknown blocks or keys are rejected so typos
+cannot silently change an experiment, and so is a value of the wrong type:
+a bool or 5.0 for an int field, or a non-finite number for a float field.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
-from fiberae.channel import ChannelParams, watts_from_dbm
+from fiberae.autoencoder import RX_HIDDEN_LAYERS, TX_HIDDEN_LAYERS
+from fiberae.channel import NOISE_POWER_DBM, ChannelParams, watts_from_dbm
 
 __all__ = [
     "ChannelBlock",
@@ -40,10 +41,10 @@ class ConfigError(ValueError):
 class ChannelBlock:
     """The "channel" block: the link, with its noise power in dBm."""
 
-    link_length_km: float = 5000.0
-    gamma: float = 1.27
-    noise_power_dbm: float = -21.3
-    segments: int = 50
+    link_length_km: float = ChannelParams.link_length_km
+    gamma: float = ChannelParams.gamma
+    noise_power_dbm: float = NOISE_POWER_DBM
+    segments: int = ChannelParams.segments
 
     def params(self) -> ChannelParams:
         return ChannelParams(
@@ -60,8 +61,8 @@ class ModelBlock:
     the weights' init seed."""
 
     m: int = 16
-    tx_hidden_layers: int = 5
-    rx_hidden_layers: int = 6
+    tx_hidden_layers: int = TX_HIDDEN_LAYERS
+    rx_hidden_layers: int = RX_HIDDEN_LAYERS
     hidden_width: int | None = None
     init_seed: int = 7
 

@@ -63,9 +63,9 @@ __all__ = [
 class RasterSpec:
     """Square window and resolution for decision-region rasters."""
 
+    half_width: float
+    resolution: int
     center: complex = 0j
-    half_width: float = 1.0
-    resolution: int = 200
 
     def __post_init__(self):
         if self.resolution < 16:

@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 import fiberae
 from awgn_reference import awgn_qam_ser
-from fiberae.channel import watts_from_dbm
-from fiberae.cli import MAX_SWEEP_POINTS, CliError, _parse_powers, build_parser, main
-from fiberae.config import _BLOCKS, ConfigError, config_hash, load_config, resolved_json
+from fiberae.autoencoder import build_model
+from fiberae.channel import ChannelParams, watts_from_dbm
+from fiberae.cli import MAX_SWEEP_POINTS, CliError, _layer_plan, _parse_powers, build_parser, main
+from fiberae.config import (_BLOCKS, ChannelBlock, ConfigError, ModelBlock, config_hash,
+                            load_config, resolved_json)
 
 AWGN_CONFIG = {
     "channel": {"gamma": 0.0},
@@ -81,6 +83,17 @@ class TestConfig:
         # the echo is the config that ran: flags are overrides of its fields
         assert resolved["eval"]["n_samples"] == 5000
         assert resolved["eval"]["seed"] == 1
+
+    def test_blocks_default_to_the_library_defaults(self):
+        # the blocks read their defaults from the channel and the model, so the copies agree
+        assert ChannelBlock().params() == ChannelParams()
+        block = ModelBlock()
+
+        def plan(**layers):
+            return _layer_plan(build_model(block.m, ChannelParams(), 1e-3, seed=0, **layers))
+
+        assert plan(tx_hidden=block.tx_hidden_layers, rx_hidden=block.rx_hidden_layers,
+                    hidden_width=block.hidden_width) == plan()
 
 
 class TestFlagOverrides:
@@ -701,6 +714,27 @@ class TestPowerValues:
         assert "--powers 5:1:0 gives no power" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_minus_zero_is_zero(self, tmp_path, awgn_config):
+        # train --power=-0 wrote ae_m4_p-0.00dbm.json, which a sweep at 0 dBm did not find
+        ckpts, out = tmp_path / "ckpt", tmp_path / "out"
+        for power in ("-0", "-1"):
+            assert run_cli("train", "--config", awgn_config, f"--power={power}",
+                           "--batches", "2", "--out", ckpts, "--seed", "3") == 0
+        assert sorted(p.name for p in ckpts.glob("ae_*.json")) == [
+            "ae_m4_p+0.00dbm.json", "ae_m4_p-1.00dbm.json"]
+        ae = ("--source", ckpts, "--detector", "ae")
+        for argv, name, expected in (
+            ((*ae, "--power", "0"), "ser_ae-const_ae.csv", ["0.0"]),
+            ((*ae, "--power=-0"), "ser_ae-const_ae.csv", ["0.0"]),
+            ((*ae, "--powers=-1:1:0"), "ser_ae-const_ae.csv", ["-1.0", "0.0"]),
+            ((*ae, "--powers=-0:1:0"), "ser_ae-const_ae.csv", ["0.0"]),
+            (("--source", "qam", "--power=-0"), "ser_qam_mindist.csv", ["0.0"]),
+        ):
+            assert run_cli("ser", "--config", awgn_config, *argv, "--samples", "1000",
+                           "--out", out, "--threads", "1") == 0
+            assert [line.split(",")[0] for line in (out / name).read_text().splitlines()
+                    if not line.startswith(("#", "power_dbm"))] == expected
+
 
 class TestOverlayRows:
     def air_with_overlay(self, tmp_path, awgn_config, ckpt, rows: str) -> int:
@@ -854,6 +888,17 @@ class TestEntryPoint:
         assert run_cli("export-constellation", "--checkpoint",
                        tmp_path / "nope.json", "--out", tmp_path) == 1
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("export-constellation", "--checkpoint", "{dir}"),
+        ("train", "--power", "0", "--warm-start", "{dir}"),
+    ], ids=lambda a: a[0])
+    def test_directory_as_checkpoint_named_a_directory(self, tmp_path, capsys, argv):
+        # an existing directory was reported as a checkpoint that does not exist
+        out = tmp_path / "out"
+        assert run_cli(*(a.format(dir=tmp_path) for a in argv), "--out", out) == 1
+        assert f"checkpoint {tmp_path} is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadsDefault:

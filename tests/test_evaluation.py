@@ -187,11 +187,12 @@ class TestDecisionRegions:
         # an infinite or NaN window, or finite ones whose edges or width
         # overflow, gave an all-zero raster
         for window in (dict(half_width=math.inf), dict(half_width=math.nan),
-                       dict(center=complex(math.nan, 0.0)), dict(center=complex(0.0, math.inf)),
+                       dict(center=complex(math.nan, 0.0), half_width=1.0),
+                       dict(center=complex(0.0, math.inf), half_width=1.0),
                        dict(center=complex(0.0, 1e308), half_width=1e308),
                        dict(half_width=1.5e308)):
             with pytest.raises(ValueError):
-                RasterSpec(**window)
+                RasterSpec(resolution=200, **window)
 
 
 def test_ae_detector_needs_a_trained_model():

@@ -27,6 +27,7 @@ from fiberae.channel import (
     watts_from_dbm,
 )
 from fiberae.cli import _setup, build_parser
+from fiberae.config import load_config, resolved_json
 from fiberae.evaluation import qam
 from fiberae.likelihood import build_oracle, log_densities, ml_detect
 
@@ -117,6 +118,15 @@ def test_cli_accepts_every_benchmark_command(monkeypatch, tmp_path):
     for argv in argvs + readme:
         _setup(build_parser().parse_args(argv), "outputs")
     assert argvs and len(readme) >= 10 and not (tmp_path / "out").exists()
+
+
+def test_readme_config_block_is_the_default_config():
+    # the README says "The values above are the defaults"
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    start = section.index("```json\n") + len("```json\n")
+    assert json.loads(section[start:section.index("```", start)]) == json.loads(
+        resolved_json(load_config()))
 
 
 def _bound_name(node):
