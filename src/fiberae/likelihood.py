@@ -26,8 +26,11 @@ the last mode's ratio is below MODE_CUTOFF at every radial node, with four
 angular cells per mode up to MAX_GRID_SIDE.  Radial nodes span rho0 +-
 RADIAL_SPAN Rician sigmas (sigma^2 = P_N/2), NODES_PER_SIGMA per sigma;
 beyond them the profile of the nearest edge is used.  The Fourier sum is
-exact only to about 1e-16 of its scale, so the profile is floored at the
-smallest normal double.
+exact only to about 1e-16 of its scale, so the profile is floored at
+DENSITY_FLOOR, far below that.  The floor is chosen so that a floored corner
+times two interpolation weights of 2^-53 or more is still a normal double:
+up to a quarter of a grid's cells sit at the floor, and a product that
+falls into the subnormal range costs about ten normal ones.
 
 Rings.  The noise is circularly symmetric, so turning the input turns the
 output law.  An oracle holds one law per distinct |x| and the index of each
@@ -40,14 +43,15 @@ those, so its density and channel cannot disagree; it is log2 M less the
 mean entropy of the exact posterior.  ML decisions and mutual information
 use log-densities, which stay finite where a density underflows a double.
 
-Cost.  `log_densities` finds each ring's radial cell (node, weight and
-interpolated direction) once and reads every symbol of the ring from it.
-`mutual_information` and `ml_detect` evaluate their outputs in
-`channel.in_blocks` slices of `channel.BLOCK` samples; only the per-sample
-results grow with n.  `threads` is used as `evaluation`'s "Threads."
-paragraph sets out.  scipy.special, whose import is most of a command's
-start-up time, loads at the first oracle build, so commands that build no
-oracle never import it.
+Cost.  `log_densities` finds each ring's radial cell (the flat offsets of
+its two grid rows, the radial weights and the interpolated direction) once;
+each symbol of the ring then reads its four corners from the flat grid with
+np.take and blends them into the gathered arrays.  `mutual_information`
+and `ml_detect` evaluate their outputs in `channel.in_blocks` slices of
+`channel.BLOCK` samples; only the per-sample results grow with n.
+`threads` is used as `evaluation`'s "Threads." paragraph sets out.
+scipy.special, whose import is most of a command's start-up time, loads at
+the first oracle build, so commands that build no oracle never import it.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ __all__ = [
     "mutual_information",
 ]
 
-DENSITY_FLOOR = float(np.finfo(float).tiny)
+DENSITY_FLOOR = 1e-250  # at least 2^-916: DENSITY_FLOOR * 2^-106 is a normal double
 
 MAX_GRID_SIDE = 1024
 RADIAL_SPAN = 8.0
@@ -146,28 +150,49 @@ class _RingDensity:
         return self.log_a0 - self.alpha0 * r * r + np.log(i0e(z)) + z
 
     def radial_cell(self, r: np.ndarray):
-        """(i, fa, shift): the radial node below each r, the weight of the
-        node above it, and the row direction interpolated between the two."""
-        n_r = self.grid.shape[0]
+        """(lo, hi, fa, 1 - fa, shift): the flat offsets in grid.ravel() of
+        the rows of the radial nodes below and above each r, the weight of
+        the node above, its complement, and the row direction interpolated
+        between the two."""
+        n_r, n_t = self.grid.shape
         a = np.clip((r - self.r_lo) / self.dr, 0.0, n_r - 1)
         i = np.minimum(a.astype(int), n_r - 2)
         fa = a - i
-        return i, fa, self.shift[i] + fa * (self.shift[i + 1] - self.shift[i])
+        shift = self.shift[i] + fa * (self.shift[i + 1] - self.shift[i])
+        return i * n_t, (i + 1) * n_t, fa, 1 - fa, shift
 
     def log_profile(self, cell, theta: np.ndarray) -> np.ndarray:
-        """Log of the profile at the radial cell of `radial_cell` and angle theta."""
-        i, fa, shift = cell
-        n_t = self.grid.shape[1]
-        b = np.mod((theta + shift) * (n_t / (2.0 * np.pi)), n_t)
+        """Log of the profile at the radial cell of `radial_cell` and angle
+        theta: the four corners are read from grid.ravel() and blended as
+        (g[i, j] (1 - fb) + g[i, j1] fb) (1 - fa) + (g[i + 1, j] (1 - fb) +
+        g[i + 1, j1] fb) fa, in that order, into the gathered arrays."""
+        lo, hi, fa, ga, shift = cell
+        n_t = self.grid.shape[1]  # four cells a mode, and modes = 32 * 2^k
+        x = (theta + shift) * (n_t / (2.0 * np.pi))
+        # np.mod(x, n_t) to the bit, at a fifth of its cost: n_t is a power of
+        # two, so x / n_t and its floor k are exact and x - n_t k is np.mod's
+        # one rounding.  Only a negative x whose quotient underflows to -0
+        # stays below 0; clamped to 0 it reads the corners and weights that
+        # np.mod's n_t reads
+        b = x - n_t * np.floor(x / n_t)
+        np.maximum(b, 0.0, out=b)
         j = b.astype(int)
         fb = b - j
-        j %= n_t  # np.mod can round up to n_t itself
-        j1 = (j + 1) % n_t
-        g = self.grid
-        return np.log(
-            (g[i, j] * (1 - fb) + g[i, j1] * fb) * (1 - fa)
-            + (g[i + 1, j] * (1 - fb) + g[i + 1, j1] * fb) * fa
-        )
+        gb = 1 - fb
+        j &= n_t - 1  # b can round up to n_t itself
+        j1 = (j + 1) & (n_t - 1)
+        g = self.grid.ravel()
+
+        def row(offset):  # g[., j] (1 - fb) + g[., j1] fb on one radial node's row
+            v = np.take(g, offset + j)
+            v *= gb
+            v += np.take(g, offset + j1) * fb
+            return v
+
+        v = row(lo)
+        v *= ga
+        v += row(hi) * fa
+        return np.log(v, out=v)
 
 
 def _ring_density(rho0: float, params: ChannelParams) -> _RingDensity:
@@ -226,9 +251,18 @@ def build_oracle(constellation: Constellation, params: ChannelParams,
     return LikelihoodOracle(constellation, params, densities, ring_of)
 
 
-def log_densities(oracle: LikelihoodOracle, y) -> np.ndarray:
-    """(M, n) matrix of each symbol's log-density at the outputs y."""
+def _outputs(y) -> np.ndarray:
+    """y as a complex array of at least one dimension, every value finite."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
+    bad = y.size - np.count_nonzero(np.isfinite(y))
+    if bad:
+        raise ValueError(f"{bad} of {y.size} channel outputs are not finite")
+    return y
+
+
+def log_densities(oracle: LikelihoodOracle, y) -> np.ndarray:
+    """(M, n) matrix of each symbol's log-density at the finite outputs y."""
+    y = _outputs(y)
     rho, theta = np.abs(y), np.angle(y)
     phases = np.angle(oracle.constellation.points)
     out = np.empty((oracle.m,) + y.shape)
@@ -246,7 +280,7 @@ def ml_detect(oracle: LikelihoodOracle, y, threads: int = 1) -> np.ndarray:
 
     Evaluates the samples in `in_blocks` slices on `threads`.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    y = _outputs(y)
     return in_blocks(lambda yb: np.argmax(log_densities(oracle, yb), axis=0), y, threads=threads)
 
 

@@ -16,6 +16,7 @@ from fiberae.autoencoder import constellation_points, decode, load_checkpoint
 from fiberae.channel import ChannelParams, make_rng, propagate, simulate, watts_from_dbm
 from fiberae.evaluation import qam, ser
 from fiberae.likelihood import (
+    DENSITY_FLOOR,
     MAX_GRID_SIDE,
     Constellation,
     LikelihoodOracle,
@@ -400,6 +401,111 @@ class TestExactLaw:
 
         assert ks(NLPN) < bound
         assert ks(replace(NLPN, gamma=1.01 * NLPN.gamma)) > bound
+
+
+def reference_log_densities(oracle, y):
+    """The lookup as first written (2-D gathers, np.mod, and the log of the
+    bilinear sum), and the least of the four grid corners it read, each of
+    shape (M, n)."""
+    rho, theta = np.abs(y), np.angle(y)
+    phases = np.angle(oracle.constellation.points)
+    out, least = np.empty((2, oracle.m) + y.shape)
+    for s, d in enumerate(oracle.densities[ring] for ring in oracle.ring_of):
+        g = d.grid
+        n_r, n_t = g.shape
+        a = np.clip((rho - d.r_lo) / d.dr, 0.0, n_r - 1)
+        i = np.minimum(a.astype(int), n_r - 2)
+        fa = a - i
+        shift = d.shift[i] + fa * (d.shift[i + 1] - d.shift[i])
+        b = np.mod((theta - phases[s] + shift) * (n_t / (2.0 * np.pi)), n_t)
+        j = b.astype(int)
+        fb = b - j
+        j %= n_t
+        j1 = (j + 1) % n_t
+        out[s] = d.log_radial(rho) + np.log(
+            (g[i, j] * (1 - fb) + g[i, j1] * fb) * (1 - fa)
+            + (g[i + 1, j] * (1 - fb) + g[i + 1, j1] * fb) * fa
+        )
+        least[s] = np.minimum.reduce([g[i, j], g[i, j1], g[i + 1, j], g[i + 1, j1]])
+    return out, least
+
+
+LOOKUP_CASES = {
+    "qam16-m2dbm": (lambda: qam(16, watts_from_dbm(-2.0)), NLPN),
+    "qam16-5dbm": (lambda: qam(16, P5), NLPN),
+    "qam16-gamma0": (lambda: qam(16, P5), AWGN),
+    "fixture-0dbm": (fixture_constellation, NLPN),
+}
+
+
+@pytest.fixture(scope="module", params=list(LOOKUP_CASES))
+def lookup_case(request):
+    """(oracle, the same oracle floored at the smallest normal double,
+    outputs): simulated draws, then a raster over the whole constellation,
+    which reaches each ring's floored cells."""
+    make, params = LOOKUP_CASES[request.param]
+    const = make()
+    oracle = build_oracle(const, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(likelihood_module, "DENSITY_FLOOR", float(np.finfo(float).tiny))
+        tiny_floor = build_oracle(const, params)
+    _, draws = simulate(const.points, params, 8192, seed=42)
+    mesh = mesh_offsets(1.3 * float(np.abs(const.points).max()), 121)
+    return oracle, tiny_floor, np.concatenate([draws, mesh])
+
+
+class TestLookup:
+    def test_lookup_stays_out_of_subnormal_arithmetic(self, lookup_case):
+        # a floored corner times two interpolation weights of 2^-53 or more is
+        # still a normal double, so no product takes the slow subnormal path
+        oracle, _, y = lookup_case
+        assert (reference_log_densities(oracle, y)[1] == DENSITY_FLOOR).any()
+        with np.errstate(under="raise"):
+            log_densities(oracle, y)
+            ml_detect(oracle, y)
+        assert DENSITY_FLOOR * 2.0**-106 >= np.finfo(float).tiny
+
+    def test_lookup_is_the_bilinear_formula_bit_for_bit(self, lookup_case):
+        # on the shipped grid the flat in-place pass is the formula to the
+        # bit; against a grid floored at the smallest normal double, values
+        # move only where a corner sits at the floor, and only up, by at most
+        # log(DENSITY_FLOOR / tiny)
+        oracle, tiny_floor, y = lookup_case
+        assert all(d.grid.shape[1] & (d.grid.shape[1] - 1) == 0 for d in oracle.densities)
+        dens = log_densities(oracle, y)
+        assert np.array_equal(dens, reference_log_densities(oracle, y)[0])
+        before, least = reference_log_densities(tiny_floor, y)
+        above = least > DENSITY_FLOOR
+        assert above.any() and not above.all()
+        assert np.array_equal(dens[above], before[above])
+        rise = dens[~above] - before[~above]
+        assert rise.min() >= 0.0 and rise.max() <= math.log(DENSITY_FLOOR / np.finfo(float).tiny) + 1e-9
+        assert np.array_equal(ml_detect(oracle, y), np.argmax(before, axis=0))
+
+    def test_angle_whose_turn_underflows_reads_as_np_mod(self):
+        # theta = -5e-324 and -1e-323 on an unturned row: theta n_t / (2 pi)
+        # divided by n_t underflows to -0, the one input where the lookup's
+        # wrap leaves np.mod's arithmetic
+        const = Constellation(points=np.array([1.0, -1.0]) * math.sqrt(P5) + 0j)
+        oracle = build_oracle(const, AWGN)
+        d = oracle.densities[0]
+        assert not d.shift.any()
+        y = np.array([complex(1.0, -5e-324), complex(1.0, -1e-323), complex(1.0, -0.0), 1.0 + 0j])
+        x = np.angle(y) * (d.grid.shape[1] / (2.0 * np.pi))
+        assert np.sum((x < 0.0) & (x / d.grid.shape[1] == 0.0)) == 2
+        assert np.array_equal(log_densities(oracle, y), reference_log_densities(oracle, y)[0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, math.inf),
+                                     complex(0.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "inf+infj", "nanj"])
+    def test_non_finite_outputs_rejected(self, bad):
+        # unchecked, a NaN fails in the index cast and an infinity gives a NaN
+        # column, which argmax reads as symbol 0
+        oracle = build_oracle(qpsk(1e-3), AWGN)
+        y = np.array([0.01, bad, 0.02j])
+        for lookup in (log_densities, ml_detect):
+            with pytest.raises(ValueError, match="1 of 3 channel outputs are not finite"):
+                lookup(oracle, y)
 
 
 class TestLikelihood:
